@@ -8,6 +8,12 @@
 //!
 //! `--graph random` regenerates Figure 2(a–c); `--graph rmat` regenerates
 //! Figure 2(d–f).
+//!
+//! Expected shape (paper): work / M stays at 1 for small prefixes and grows
+//! only once a prefix holds a sizeable share of the edges (about 1.3 at a
+//! full prefix on the tiny random input), while rounds / M falls as
+//! 1 / prefix size. Time falls with the rounds until the per-round cost is
+//! amortized, then rises slowly with the work.
 
 use greedy_bench::{
     prefix_fraction_sweep, print_csv_header, secs, time_best_of, ExperimentGraph, HarnessConfig,

@@ -7,14 +7,14 @@
 //! cargo run --release -p greedy_bench --bin run_all -- --scale small
 //! ```
 //!
-//! In `--quick` mode it additionally times the two setup-phase hot paths the
-//! sort subsystem owns — random-permutation construction and edge-list → CSR
-//! build — and writes them to `results/BENCH_quick.json`. CI uploads that
-//! file as an artifact on every run, giving future PRs a perf trajectory to
-//! compare against. Adding `--compare` diffs the fresh rows against the
-//! trajectory file's pre-run contents (the committed baseline in CI) and
-//! prints a warning — never a failure — for every throughput row that
-//! regressed by more than 25%.
+//! In `--quick` mode it additionally times fixed-size hot paths — among them
+//! random-permutation construction, edge-list → CSR build, and serial and
+//! prefix-based greedy matching — and writes them to
+//! `results/BENCH_quick.json`. CI uploads that file as an artifact on every
+//! run, giving future PRs a perf trajectory to compare against. Adding
+//! `--compare` diffs the fresh rows against the trajectory file's pre-run
+//! contents (the committed baseline in CI) and prints a warning — never a
+//! failure — for every throughput row that regressed by more than 25%.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -24,6 +24,10 @@ use greedy_bench::{
     compare_quick_entries, engine_matching_heavy_batch, engine_mixed_batch, merge_quick_entries,
     read_quick_entries, run_on_threads, secs, time_best_of, HarnessConfig,
 };
+use greedy_core::matching::prefix::prefix_matching;
+use greedy_core::matching::sequential::sequential_matching;
+use greedy_core::mis::prefix::PrefixPolicy;
+use greedy_core::ordering::random_edge_permutation;
 use greedy_engine::prelude::{DynGraph, Engine};
 use greedy_graph::csr::Graph;
 use greedy_graph::gen::random::{random_edge_list, random_graph};
@@ -149,10 +153,11 @@ struct QuickEntry {
     seconds: f64,
 }
 
-/// Times the permutation and CSR-build hot paths, the batch-dynamic engine's
-/// mixed-batch and matching-heavy update paths (1 thread and the machine's
-/// full parallelism), and the flat-vs-nested membership-probe microbench,
-/// and writes `results/BENCH_quick.json`.
+/// Times the permutation and CSR-build hot paths, serial and prefix-based
+/// greedy matching, the batch-dynamic engine's mixed-batch and
+/// matching-heavy update paths (1 thread and the machine's full
+/// parallelism), and the flat-vs-nested membership-probe microbench, and
+/// writes `results/BENCH_quick.json`.
 ///
 /// Sizes are fixed (1M-element permutation, 100k/500k uniform graph, 1k-edge
 /// engine batches, 1M membership probes) regardless of `--scale`, so the
@@ -166,6 +171,7 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
     const ENGINE_ROUNDS: u64 = 5;
     let reps = cfg.reps.max(2);
     let edges = random_edge_list(CSR_N, CSR_M, cfg.seed);
+    let edge_pi = random_edge_permutation(edges.num_edges(), cfg.seed.wrapping_add(2));
     let mut entries: Vec<QuickEntry> = Vec::new();
     for &threads in &cfg.threads {
         let (perm_time, perm) = run_on_threads(threads, || {
@@ -189,6 +195,28 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
             m: graph.num_edges(),
             seconds: secs(csr_time),
         });
+        // The paper's matching kernels on the same edge list: serial greedy
+        // and prefix-based matching at the default 2% prefixes, which must
+        // return the same matching.
+        let (serial_time, serial_mm) = time_best_of(reps, || sequential_matching(&edges, &edge_pi));
+        let (prefix_time, prefix_mm) = run_on_threads(threads, || {
+            time_best_of(reps, || {
+                prefix_matching(&edges, &edge_pi, PrefixPolicy::default())
+            })
+        });
+        assert_eq!(prefix_mm, serial_mm, "prefix matching differs from serial");
+        for (name, seconds) in [
+            ("paper_mm_serial", serial_time),
+            ("paper_mm_prefix", prefix_time),
+        ] {
+            entries.push(QuickEntry {
+                name,
+                threads,
+                n: CSR_N,
+                m: edges.num_edges(),
+                seconds: secs(seconds),
+            });
+        }
         // Batch-dynamic engine: a *fixed* stream of mixed batches (1k hashed
         // inserts + 500 deletes sampled from the live graph) applied to a
         // maintained 100k/500k graph; reported as mean seconds per batch.
@@ -315,6 +343,7 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
             "csr_from_edge_list",
             "engine_",
             "membership_probe",
+            "paper_mm_",
         ],
         "run_all",
         &rows,

@@ -1,21 +1,40 @@
 //! The prefix-based parallel greedy maximal matching.
 //!
-//! The edge-side analogue of Algorithm 3: each round takes the next prefix of
-//! edges in priority order, resolves it with parallel greedy steps (an edge
-//! is accepted once every earlier adjacent edge is decided), then knocks out
-//! the later edges that share an endpoint with the newly accepted ones.
-//! Smaller prefixes do less redundant work; larger prefixes expose more
-//! parallelism; the matching is identical to the sequential greedy one for
-//! every prefix size. This is the implementation benchmarked in Figure 2 and
-//! Figure 4 of the paper.
+//! The edge-side analogue of Algorithm 3, run over per-vertex priority
+//! reservations. Each round takes the next prefix of edges in π order. An
+//! edge with an endpoint already matched is out as the prefix arrives (the
+//! lazy status update). The live edges are then resolved by parallel steps
+//! of two passes each:
+//!
+//! 1. **reserve** — every live edge writes its π-position into the cell of
+//!    each endpoint with an atomic `fetch_min`;
+//! 2. **commit** — an edge that holds both of its cells is matched and marks
+//!    both endpoints matched; every edge frees the cells it holds.
+//!
+//! The winners leave, and so do the losers with an endpoint a winner just
+//! matched. Edges of earlier prefixes are all decided, so an edge holds both
+//! cells exactly when every earlier edge sharing an endpoint has been
+//! decided out: the sequential greedy condition. The matching is therefore
+//! the sequential greedy one for every prefix size. The earliest live edge
+//! always holds both cells, so every step makes progress. A cell keeps the
+//! minimum position written to it whatever the order of the writes, so the
+//! result and the counters are the same at every thread count.
+//!
+//! An edge attempt costs O(1): two reservations and two reads of its own
+//! endpoints' cells, with no incidence-list scan. This is the implementation
+//! benchmarked in Figure 2 and Figure 4 of the paper.
+
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering::Relaxed};
 
 use greedy_graph::edge_list::EdgeList;
 use greedy_prims::permutation::Permutation;
 use rayon::prelude::*;
 
-use crate::matching::{collect_in_edges, EdgeState};
 use crate::mis::prefix::PrefixPolicy;
 use crate::stats::WorkStats;
+
+/// Cell value of a vertex that no edge reserves.
+const FREE: u32 = u32::MAX;
 
 /// Runs the prefix-based parallel greedy maximal matching. Returns the same
 /// matching as [`crate::matching::sequential::sequential_matching`], as
@@ -24,9 +43,16 @@ pub fn prefix_matching(edges: &EdgeList, pi: &Permutation, policy: PrefixPolicy)
     prefix_matching_with_stats(edges, pi, policy).0
 }
 
-/// Runs the prefix-based matching with counters: `rounds` = prefixes,
-/// `steps` = inner steps, `vertex_work` = edge examinations, `edge_work` =
-/// adjacency inspections.
+/// Runs the prefix-based matching with counters:
+/// * `rounds` — prefixes;
+/// * `steps` — reserve/commit steps summed over prefixes;
+/// * `vertex_work` — edge examinations: one for an edge that is out when its
+///   prefix arrives, otherwise one per step the edge takes part in, so prefix
+///   size 1 gives exactly m, like the sequential algorithm;
+/// * `edge_work` — endpoint reservations: two per edge per step.
+///
+/// # Panics
+/// Panics if `pi.len() != edges.num_edges()`.
 pub fn prefix_matching_with_stats(
     edges: &EdgeList,
     pi: &Permutation,
@@ -40,136 +66,101 @@ pub fn prefix_matching_with_stats(
         pi.len(),
         m
     );
-    let rank = pi.rank();
+    assert!(
+        m <= FREE as usize,
+        "prefix_matching: {m} edges have positions that collide with FREE"
+    );
     let order = pi.order();
-    let incidence = edges.incidence_lists();
-    // The "maximum degree" knob for the adaptive policy is the maximum number
+    // The "maximum degree" knob of the adaptive policy is the maximum number
     // of edges adjacent to any single edge, bounded by twice the maximum
-    // vertex degree.
-    let max_edge_degree = 2 * edges.max_degree() as usize;
+    // vertex degree. Only that policy reads it, and it costs a pass over the
+    // edges.
+    let max_edge_degree = match policy {
+        PrefixPolicy::Adaptive { .. } => 2 * edges.max_degree() as usize,
+        _ => 0,
+    };
+    let endpoints = |pos: u32| {
+        let edge = edges.edge(order[pos as usize] as usize);
+        (edge.u as usize, edge.v as usize)
+    };
 
-    let mut state = vec![EdgeState::Undecided; m];
-    // A vertex is saturated once one of its edges is matched; saturation is
-    // what knocks later edges out lazily.
-    let mut vertex_matched = vec![false; edges.num_vertices()];
+    // Between steps every cell is FREE. The passes are separated by the
+    // joins that end each parallel call, and neither array publishes other
+    // data, so relaxed accesses suffice.
+    let cells: Vec<AtomicU32> = (0..edges.num_vertices())
+        .map(|_| AtomicU32::new(FREE))
+        .collect();
+    let matched: Vec<AtomicBool> = (0..edges.num_vertices())
+        .map(|_| AtomicBool::new(false))
+        .collect();
+    let is_out = |(u, v): (usize, usize)| matched[u].load(Relaxed) || matched[v].load(Relaxed);
+    let mut in_matching = vec![false; m];
     let mut stats = WorkStats::new();
     let mut start = 0usize;
 
-    let adjacent = |e: u32| {
-        let edge = edges.edge(e as usize);
-        incidence[edge.u as usize]
-            .iter()
-            .chain(incidence[edge.v as usize].iter())
-            .copied()
-            .filter(move |&f| f != e)
-    };
-
     while start < m {
-        let remaining = m - start;
-        let k = policy.prefix_size(m, remaining, max_edge_degree, stats.rounds);
-        let prefix = &order[start..start + k];
+        let k = policy.prefix_size(m, m - start, max_edge_degree, stats.rounds);
         stats.rounds += 1;
-
-        // Lazy status update: an edge whose endpoint is already saturated is
-        // knocked out as it enters its prefix.
-        let mut active: Vec<u32> = prefix
-            .iter()
-            .copied()
-            .filter(|&e| {
-                if state[e as usize] != EdgeState::Undecided {
-                    return false;
-                }
-                let edge = edges.edge(e as usize);
-                if vertex_matched[edge.u as usize] || vertex_matched[edge.v as usize] {
-                    state[e as usize] = EdgeState::Out;
-                    false
-                } else {
-                    true
-                }
-            })
+        // The live edges of the prefix, by π-position, each with whether it
+        // won in the current step. The edges out are charged one examination
+        // here; the live ones are charged per step below.
+        let mut active: Vec<(u32, bool)> = (start as u32..(start + k) as u32)
+            .into_par_iter()
+            .filter(|&pos| !is_out(endpoints(pos)))
+            .map(|pos| (pos, false))
             .collect();
-        // Work accounting (paper normalization): edges already decided when
-        // their prefix arrives are charged one examination here; the active
-        // ones are charged per inner step below, so prefix size 1 gives
-        // exactly m units of work like the sequential algorithm.
-        stats.vertex_work += (prefix.len() - active.len()) as u64;
+        stats.vertex_work += (k - active.len()) as u64;
 
-        // Parallel greedy steps within the prefix. Every earlier edge outside
-        // the prefix is already decided, so an active edge only waits on
-        // earlier edges inside the prefix.
         while !active.is_empty() {
             stats.steps += 1;
             stats.vertex_work += active.len() as u64;
+            stats.edge_work += 2 * active.len() as u64;
 
-            let decisions: Vec<EdgeState> = active
-                .par_iter()
-                .map(|&e| {
-                    let mut has_undecided_earlier = false;
-                    for f in adjacent(e) {
-                        if rank[f as usize] < rank[e as usize] {
-                            match state[f as usize] {
-                                EdgeState::In => return EdgeState::Out,
-                                EdgeState::Undecided => has_undecided_earlier = true,
-                                EdgeState::Out => {}
-                            }
-                        }
-                    }
-                    if has_undecided_earlier {
-                        EdgeState::Undecided
-                    } else {
-                        EdgeState::In
-                    }
-                })
-                .collect();
-            stats.edge_work += active
-                .par_iter()
-                .map(|&e| adjacent(e).count() as u64)
-                .sum::<u64>();
+            active.par_iter().for_each(|&(pos, _)| {
+                let (u, v) = endpoints(pos);
+                cells[u].fetch_min(pos, Relaxed);
+                cells[v].fetch_min(pos, Relaxed);
+            });
 
-            let mut next_active = Vec::with_capacity(active.len());
-            for (i, &e) in active.iter().enumerate() {
-                match decisions[i] {
-                    EdgeState::Undecided => next_active.push(e),
-                    s => state[e as usize] = s,
+            // Only a cell's holder writes it here, and it writes FREE, which
+            // is no edge's position, so every outcome is fixed by the
+            // reservations.
+            active.par_iter_mut().for_each(|(pos, won)| {
+                let (u, v) = endpoints(*pos);
+                let holds_u = cells[u].load(Relaxed) == *pos;
+                let holds_v = cells[v].load(Relaxed) == *pos;
+                if holds_u {
+                    cells[u].store(FREE, Relaxed);
                 }
-            }
+                if holds_v {
+                    cells[v].store(FREE, Relaxed);
+                }
+                if holds_u && holds_v {
+                    matched[u].store(true, Relaxed);
+                    matched[v].store(true, Relaxed);
+                    *won = true;
+                }
+            });
+
+            // Drop the winners, and the losers whose endpoint a winner just
+            // matched.
+            let before = active.len();
+            active.retain(|&(pos, won)| {
+                if won {
+                    in_matching[order[pos as usize] as usize] = true;
+                }
+                !won && !is_out(endpoints(pos))
+            });
             assert!(
-                next_active.len() < active.len(),
+                active.len() < before,
                 "prefix_matching: no progress within a prefix step"
             );
-            active = next_active;
         }
-
-        // Saturate the endpoints of the newly matched edges and knock out
-        // their still-undecided later neighbors.
-        let newly_in: Vec<u32> = prefix
-            .iter()
-            .copied()
-            .filter(|&e| state[e as usize] == EdgeState::In)
-            .collect();
-        for &e in &newly_in {
-            let edge = edges.edge(e as usize);
-            vertex_matched[edge.u as usize] = true;
-            vertex_matched[edge.v as usize] = true;
-        }
-        let knocked: Vec<u32> = newly_in
-            .par_iter()
-            .flat_map_iter(|&e| adjacent(e).filter(move |&f| rank[f as usize] > rank[e as usize]))
-            .collect();
-        stats.edge_work += newly_in
-            .par_iter()
-            .map(|&e| adjacent(e).count() as u64)
-            .sum::<u64>();
-        for f in knocked {
-            if state[f as usize] == EdgeState::Undecided {
-                state[f as usize] = EdgeState::Out;
-            }
-        }
-
         start += k;
     }
 
-    (collect_in_edges(&state), stats)
+    let matching = (0..m as u32).filter(|&e| in_matching[e as usize]).collect();
+    (matching, stats)
 }
 
 #[cfg(test)]
@@ -234,6 +225,70 @@ mod tests {
                     expected,
                     "policy {policy:?} diverged on {name}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn every_policy_matches_sequential_on_reservation_edge_cases() {
+        // Self-loops reserve one cell twice; parallel edges reserve the same
+        // pair of cells; a star makes every edge contend for the hub; a path
+        // in identity order has the longest possible dependence chain.
+        let self_loops = EdgeList::from_pairs(
+            6,
+            [
+                (0, 0),
+                (0, 1),
+                (1, 1),
+                (1, 2),
+                (2, 2),
+                (3, 3),
+                (2, 3),
+                (3, 4),
+                (5, 5),
+                (4, 5),
+            ],
+        );
+        let parallel = EdgeList::from_pairs(5, (0..60u32).map(|i| (i % 4, i % 4 + 1)));
+        let lists: Vec<(&str, EdgeList, Permutation)> = vec![
+            ("self-loops", self_loops.clone(), identity_permutation(10)),
+            ("self-loops", self_loops, random_edge_permutation(10, 3)),
+            ("parallel", parallel.clone(), identity_permutation(60)),
+            ("parallel", parallel, random_edge_permutation(60, 4)),
+            ("star", star_edge_list(200), random_edge_permutation(199, 5)),
+            (
+                "identity path",
+                path_edge_list(300),
+                identity_permutation(299),
+            ),
+        ];
+        for (name, el, pi) in lists {
+            let expected = sequential_matching(&el, &pi);
+            for policy in policies() {
+                assert_eq!(
+                    prefix_matching(&el, &pi, policy),
+                    expected,
+                    "policy {policy:?} diverged on {name}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn work_per_edge_attempt_is_constant() {
+        // Two reservations per examination, whatever the degrees: an
+        // incidence-list scan would make edge work grow with them. At 2%
+        // prefixes the work stays near serial (Figure 2(a)).
+        let random = random_edge_list(20_000, 100_000, 11);
+        let rmat = rmat_edge_list(14, 100_000, RmatParams::default(), 12);
+        for (name, el) in [("random", random), ("rmat", rmat)] {
+            let m = el.num_edges() as u64;
+            let pi = random_edge_permutation(el.num_edges(), 13);
+            let (_, stats) = prefix_matching_with_stats(&el, &pi, PrefixPolicy::default());
+            assert!(stats.vertex_work >= m, "{name}: {stats}");
+            assert!(stats.edge_work <= 2 * stats.vertex_work, "{name}: {stats}");
+            if name == "random" {
+                assert!(10 * stats.vertex_work <= 11 * m, "{name}: {stats}");
             }
         }
     }

@@ -30,19 +30,36 @@ fn mis_is_thread_count_independent() {
 
 #[test]
 fn matching_is_thread_count_independent() {
-    let edges = random_graph(2_000, 8_000, 3).to_edge_list();
-    let pi = random_edge_permutation(edges.num_edges(), 4);
-    let reference = in_pool(1, || prefix_matching(&edges, &pi, PrefixPolicy::default()));
-    for threads in [2, 4, 8] {
-        let result = in_pool(threads, || {
-            prefix_matching(&edges, &pi, PrefixPolicy::default())
-        });
-        assert_eq!(result, reference, "matching changed with {threads} threads");
-        let rooted = in_pool(threads, || rootset_matching(&edges, &pi));
-        assert_eq!(
-            rooted, reference,
-            "root-set matching changed with {threads} threads"
-        );
+    // Large enough that a 2% prefix splits across workers, so reservations
+    // from different threads really contend for the same cells.
+    let inputs = [
+        ("random", random_graph(10_000, 40_000, 3).to_edge_list()),
+        ("rmat", rmat_graph(13, 40_000, 3).to_edge_list()),
+    ];
+    for (name, edges) in &inputs {
+        let pi = random_edge_permutation(edges.num_edges(), 4);
+        for policy in [PrefixPolicy::default(), PrefixPolicy::FractionOfInput(1.0)] {
+            let reference = in_pool(1, || prefix_matching_with_stats(edges, &pi, policy));
+            assert_eq!(reference.0, sequential_matching(edges, &pi));
+            for threads in [2, 3, 7] {
+                let result = in_pool(threads, || prefix_matching_with_stats(edges, &pi, policy));
+                assert_eq!(
+                    result.0, reference.0,
+                    "{name}: matching changed with {threads} threads under {policy:?}"
+                );
+                assert_eq!(
+                    result.1, reference.1,
+                    "{name}: work counters changed with {threads} threads under {policy:?}"
+                );
+            }
+        }
+        for threads in [2, 3, 7] {
+            assert_eq!(
+                in_pool(threads, || rootset_matching(edges, &pi)),
+                sequential_matching(edges, &pi),
+                "{name}: root-set matching changed with {threads} threads"
+            );
+        }
     }
 }
 
