@@ -8,6 +8,7 @@
 //! ```
 //!
 //! In `--quick` mode it additionally times fixed-size hot paths — among them
+//! the parallel runtime's `join` and 4096-item `par_iter` sum,
 //! random-permutation construction, edge-list → CSR build, and serial and
 //! prefix-based greedy matching — and writes them to
 //! `results/BENCH_quick.json`. CI uploads that file as an artifact on every
@@ -33,6 +34,7 @@ use greedy_graph::csr::Graph;
 use greedy_graph::gen::random::{random_edge_list, random_graph};
 use greedy_prims::permutation::par_random_permutation;
 use greedy_prims::random::hash64;
+use rayon::prelude::*;
 
 fn main() {
     let cfg = HarnessConfig::from_args();
@@ -144,6 +146,19 @@ fn compare_against_baseline(baseline: &[String], out_dir: &Path) {
     }
 }
 
+/// Median wall time of `calls` calls of `f`, in seconds.
+fn median_call<T>(calls: usize, f: impl Fn() -> T) -> f64 {
+    let mut times: Vec<f64> = (0..calls)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            std::hint::black_box(f());
+            secs(start.elapsed())
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[calls / 2]
+}
+
 /// One timed entry of the quick-bench trajectory file.
 struct QuickEntry {
     name: &'static str,
@@ -153,7 +168,8 @@ struct QuickEntry {
     seconds: f64,
 }
 
-/// Times the permutation and CSR-build hot paths, serial and prefix-based
+/// Times the parallel runtime's fork/join cost (median of 2000 calls), the
+/// permutation and CSR-build hot paths, serial and prefix-based
 /// greedy matching, the batch-dynamic engine's mixed-batch and
 /// matching-heavy update paths (1 thread and the machine's full
 /// parallelism), and the flat-vs-nested membership-probe microbench, and
@@ -169,11 +185,38 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
     const CSR_M: usize = 500_000;
     const ENGINE_BATCH: u64 = 1_000;
     const ENGINE_ROUNDS: u64 = 5;
+    const RT_CALLS: usize = 2_000;
     let reps = cfg.reps.max(2);
     let edges = random_edge_list(CSR_N, CSR_M, cfg.seed);
     let edge_pi = random_edge_permutation(edges.num_edges(), cfg.seed.wrapping_add(2));
     let mut entries: Vec<QuickEntry> = Vec::new();
     for &threads in &cfg.threads {
+        // Fork/join cost of the parallel runtime: an empty `join` and a
+        // `par_iter().map().sum()` over 4096 items.
+        let items: Vec<u64> = (0..4096).collect();
+        let (join_time, sum_time) = run_on_threads(threads, || {
+            (
+                median_call(RT_CALLS, || {
+                    let (a, b) = rayon::join(|| 1u64, || 2u64);
+                    a + b
+                }),
+                median_call(RT_CALLS, || {
+                    items.par_iter().map(|&x| x ^ 0x5555).sum::<u64>()
+                }),
+            )
+        });
+        for (name, n, seconds) in [
+            ("rt_join", 0, join_time),
+            ("rt_par_sum_4096", items.len(), sum_time),
+        ] {
+            entries.push(QuickEntry {
+                name,
+                threads,
+                n,
+                m: 0,
+                seconds,
+            });
+        }
         let (perm_time, perm) = run_on_threads(threads, || {
             time_best_of(reps, || par_random_permutation(PERM_N, cfg.seed))
         });
@@ -327,7 +370,7 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
         .iter()
         .map(|e| {
             format!(
-                "    {{\"name\": \"{}\", \"threads\": {}, \"n\": {}, \"m\": {}, \"seconds\": {:.6}}}",
+                "    {{\"name\": \"{}\", \"threads\": {}, \"n\": {}, \"m\": {}, \"seconds\": {:.9}}}",
                 e.name, e.threads, e.n, e.m, e.seconds
             )
         })
@@ -344,6 +387,7 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
             "engine_",
             "membership_probe",
             "paper_mm_",
+            "rt_",
         ],
         "run_all",
         &rows,
@@ -351,7 +395,7 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
     eprintln!("quick perf trajectory written to {}", path.display());
     for e in &entries {
         eprintln!(
-            "  {:>24} threads={:<2} {:>9.3} ms",
+            "  {:>24} threads={:<2} {:>11.4} ms",
             e.name,
             e.threads,
             e.seconds * 1e3

@@ -3,7 +3,7 @@
 //! This workspace must build in environments with no crates.io access, so the
 //! shims under `crates/shims/` provide the API subset the workspace uses.
 //! This one reimplements the rayon surface the algorithms rely on with **real
-//! data parallelism** on `std::thread::scope`:
+//! data parallelism** on a persistent pool of `std` threads:
 //!
 //! * a parallel iterator ([`Par`]) over slices, mutable slices, chunks,
 //!   integer ranges, and vectors, with the adapters the workspace uses
@@ -20,9 +20,22 @@
 //! A source is split eagerly into contiguous parts (a small multiple of the
 //! effective thread count). Adapters wrap each part's *sequential* iterator
 //! lazily, so an adapter chain costs the same as the equivalent `std::iter`
-//! chain. A terminal operation distributes the parts over scoped worker
-//! threads and combines per-part results **in part order**, which keeps every
-//! operation deterministic: results never depend on thread interleaving.
+//! chain. A terminal operation publishes the parts as one job to a
+//! process-wide pool of workers. Workers start lazily, up to the largest
+//! installed thread count minus one, and park on a condition variable when
+//! idle; they never spin. At most `threads - 1` idle workers join a job, and
+//! the caller claims parts from the same atomic counter as they do. When the
+//! parts run out the caller closes the job to newcomers and waits only for
+//! the helpers already inside. Per-part results are combined **in part
+//! order**, which keeps every operation deterministic: results never depend
+//! on thread interleaving or on how many workers joined.
+//!
+//! [`join`] is a lazy fork of the same kind: `b` is offered to the pool, `a`
+//! runs inline, and `b` then runs inline as well unless a worker has already
+//! claimed it. Helpers run with the caller's installed thread count, so
+//! nested calls see the same budget. A panic in a part or branch is re-raised
+//! on the caller once every helper has left, and the pool stays usable. At
+//! one thread none of this runs: parts and branches execute inline.
 //!
 //! Two deviations from real rayon, acceptable for the workloads here and
 //! documented at the call sites that care:
@@ -36,13 +49,14 @@
 //!   parallelizes; there is no sequential merge. The output is the unique
 //!   stable order under the comparator, hence thread-count independent.
 
+use std::any::Any;
 use std::cell::Cell;
 use std::cmp::Ordering as CmpOrdering;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 // ---------------------------------------------------------------------------
-// Thread accounting and the worker driver
+// Thread accounting
 // ---------------------------------------------------------------------------
 
 thread_local! {
@@ -50,10 +64,15 @@ thread_local! {
     static POOL_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
+/// The machine's available parallelism, asked of the OS once per process
+/// (each query costs tens of microseconds, more than a small parallel pass).
 fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// The number of threads parallel operations on this thread will use: the
@@ -68,63 +87,248 @@ pub fn current_num_threads() -> usize {
 /// dominates any parallel win.
 const MIN_PART: usize = 256;
 
-thread_local! {
-    /// Grain override installed by [`with_min_part_len`], if any. Inherited
-    /// by the scoped workers a terminal spawns, so nested parallel calls see
-    /// the same grain the caller installed.
-    static MIN_PART_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// The grain in effect on this thread: the innermost [`with_min_part_len`]
-/// override, or the default [`MIN_PART`].
-fn min_part() -> usize {
-    MIN_PART_OVERRIDE
-        .with(|c| c.get())
-        .unwrap_or(MIN_PART)
-        .max(1)
-}
-
-/// Runs `f` with the splitting grain lowered (or raised) to `min`: sources
-/// created inside split as soon as they hold more than `min` elements,
-/// instead of the default 256.
-///
-/// The default grain is tuned for *per-element* work, where splitting an
-/// 8-element collection costs more than it saves. A **coarse** fan-out — a
-/// handful of items that each carry milliseconds of work, like the sharded
-/// engine's per-shard drive — is the opposite regime: under the default
-/// grain `par_iter` hands all S items to one part and the loop runs
-/// serially. `with_min_part_len(1, ..)` is the `with_min_len`-style escape
-/// hatch (rayon proper hangs the knob off `IndexedParallelIterator`; the
-/// shim splits eagerly at source construction, so the override is scoped
-/// around the construction instead).
-///
-/// The override is restored on exit (including unwinds) and is inherited by
-/// worker threads, so nested parallel calls under a worker see the same
-/// grain.
-pub fn with_min_part_len<R>(min: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            MIN_PART_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(MIN_PART_OVERRIDE.with(|c| c.replace(Some(min.max(1)))));
-    f()
-}
-
 /// How many parts to split a source of `len` items into.
 fn split_count(len: usize) -> usize {
     let threads = current_num_threads();
-    let grain = min_part();
-    if threads <= 1 || len <= grain {
+    if threads <= 1 || len <= MIN_PART {
         return 1;
     }
-    (threads * 4).min(len.div_ceil(grain)).max(1)
+    (threads * 4).min(len.div_ceil(MIN_PART)).max(1)
 }
 
-/// Consumes each part with `f` on a scoped worker pool and returns the
-/// per-part results in part order. Workers inherit the caller's installed
-/// pool size so nested parallel calls see the same thread budget.
+// ---------------------------------------------------------------------------
+// The worker pool
+// ---------------------------------------------------------------------------
+
+/// One parallel call in flight: tasks `0..n`, claimed one at a time from
+/// `next` by the caller and by the helpers that joined. Lives on the
+/// caller's stack; see [`run_job`] for how long it is shared.
+struct Job<'a> {
+    task: &'a (dyn Fn(usize) + Sync),
+    n: usize,
+    /// Next unclaimed task. `Relaxed` suffices: the counter hands out
+    /// indices and publishes no data (task inputs and outputs are
+    /// synchronized by their own locks and by the pool lock the caller
+    /// drains through).
+    next: AtomicUsize,
+    /// The caller's installed thread count, set on helpers while they work
+    /// so nested parallel calls see the same budget.
+    threads: Option<usize>,
+    /// Helpers currently inside the job. Only read or written under the
+    /// pool lock, so `Relaxed` suffices.
+    inside: AtomicUsize,
+    /// Set (under the pool lock) when the caller sleeps on [`Pool::drained`]
+    /// waiting for `inside` to reach zero.
+    caller_waiting: AtomicBool,
+    /// The first panic a helper caught, re-raised on the caller.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl Job<'_> {
+    /// Claims and runs tasks until none are left.
+    fn work(&self) {
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.n {
+                return;
+            }
+            (self.task)(i);
+        }
+    }
+
+    /// A helper's share of the job: runs [`Job::work`] under the caller's
+    /// thread budget, catching a panic so the worker survives it.
+    fn help(&self) {
+        POOL_THREADS.with(|c| c.set(self.threads));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.work()));
+        POOL_THREADS.with(|c| c.set(None));
+        if let Err(payload) = outcome {
+            lock(&self.panic).get_or_insert(payload);
+        }
+    }
+}
+
+/// A published job and how many more helpers may join it.
+struct Seat {
+    job: &'static Job<'static>,
+    free: usize,
+}
+
+struct PoolState {
+    /// Jobs that still accept helpers, oldest first.
+    open: Vec<Seat>,
+    /// Workers started so far; never exceeds the largest installed thread
+    /// count minus one.
+    spawned: usize,
+    /// Workers parked on [`Pool::work`].
+    idle: usize,
+}
+
+impl PoolState {
+    /// Takes a seat in the oldest open job that still has tasks to claim,
+    /// dropping jobs that are full or exhausted from the open list.
+    fn take_seat(&mut self) -> Option<&'static Job<'static>> {
+        while let Some(seat) = self.open.first_mut() {
+            let job = seat.job;
+            if job.next.load(Ordering::Relaxed) >= job.n {
+                self.open.remove(0);
+                continue;
+            }
+            seat.free -= 1;
+            if seat.free == 0 {
+                self.open.remove(0);
+            }
+            job.inside.fetch_add(1, Ordering::Relaxed);
+            return Some(job);
+        }
+        None
+    }
+}
+
+/// The process-wide pool: workers park on `work` when no job is open, and
+/// callers park on `drained` until the helpers inside their job have left.
+/// Nobody spins; on a small machine the workers share cores with
+/// unrelated threads.
+struct Pool {
+    state: Mutex<PoolState>,
+    work: Condvar,
+    drained: Condvar,
+}
+
+static POOL: Pool = Pool {
+    state: Mutex::new(PoolState {
+        open: Vec::new(),
+        spawned: 0,
+        idle: 0,
+    }),
+    work: Condvar::new(),
+    drained: Condvar::new(),
+};
+
+/// Locks `m`, ignoring poison: no code panics while holding the pool lock
+/// or a job's panic slot, so their contents are valid at every step.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Pool {
+    /// Opens `job` to up to `helpers` workers: wakes idle ones and starts
+    /// new ones while fewer than `threads - 1` exist.
+    fn publish(&self, job: &'static Job<'static>, helpers: usize, threads: usize) {
+        let mut state = lock(&self.state);
+        state.open.push(Seat { job, free: helpers });
+        let wake = helpers.min(state.idle);
+        let spawn = (helpers - wake).min((threads - 1).saturating_sub(state.spawned));
+        state.spawned += spawn;
+        drop(state);
+        for _ in 0..wake {
+            self.work.notify_one();
+        }
+        for _ in 0..spawn {
+            let started = std::thread::Builder::new()
+                .name("rayon-shim-worker".into())
+                .spawn(|| POOL.worker());
+            // Without the worker the caller simply claims more tasks itself.
+            if started.is_err() {
+                lock(&self.state).spawned -= 1;
+            }
+        }
+    }
+
+    /// A worker's life: help the oldest open job, or park until one opens.
+    /// Workers are never joined; they park between jobs until the process
+    /// exits.
+    fn worker(&self) {
+        let mut state = lock(&self.state);
+        loop {
+            if let Some(job) = state.take_seat() {
+                drop(state);
+                job.help();
+                state = lock(&self.state);
+                // After this decrement the caller may return and free the
+                // job, so it is the last access to it.
+                if job.inside.fetch_sub(1, Ordering::Relaxed) == 1
+                    && job.caller_waiting.load(Ordering::Relaxed)
+                {
+                    self.drained.notify_all();
+                }
+            } else {
+                state.idle += 1;
+                state = self
+                    .work
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+                state.idle -= 1;
+            }
+        }
+    }
+}
+
+/// Workers started so far, for tests.
+#[cfg(test)]
+fn spawned_workers() -> usize {
+    lock(&POOL.state).spawned
+}
+
+/// Withdraws a job from the pool when the caller's frame returns or
+/// unwinds: closes it to new helpers, then waits for the ones inside.
+struct Retire(&'static Job<'static>);
+
+impl Drop for Retire {
+    fn drop(&mut self) {
+        let job = self.0;
+        let mut state = lock(&POOL.state);
+        state.open.retain(|seat| !std::ptr::eq(seat.job, job));
+        while job.inside.load(Ordering::Relaxed) > 0 {
+            job.caller_waiting.store(true, Ordering::Relaxed);
+            state = POOL
+                .drained
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// Runs `task(0)`, …, `task(n - 1)` on the calling thread and at most
+/// `threads - 1` pool workers, returning once all have finished. The caller
+/// always runs task 0 itself, then claims tasks alongside the helpers. A
+/// panic in any task reaches the caller after every helper has left.
+fn run_job(n: usize, threads: usize, task: &(dyn Fn(usize) + Sync)) {
+    let job = Job {
+        task,
+        n,
+        next: AtomicUsize::new(1),
+        threads: POOL_THREADS.with(|c| c.get()),
+        inside: AtomicUsize::new(0),
+        caller_waiting: AtomicBool::new(false),
+        panic: Mutex::new(None),
+    };
+    {
+        // SAFETY: the pool only reaches `job` through the `Seat` pushed by
+        // `publish` and through helpers counted in `job.inside`. The
+        // `Retire` guard below is created before the job is published and
+        // dropped before this block ends, whether it returns or unwinds;
+        // its drop removes the seat and waits, under the pool lock, until
+        // `inside` is zero. So no reference to `job` outlives this frame,
+        // and the `'static` lifetime is never relied on past it.
+        let shared: &'static Job<'static> = unsafe { std::mem::transmute(&job) };
+        let _retire = Retire(shared);
+        POOL.publish(shared, threads.min(n) - 1, threads);
+        task(0);
+        shared.work();
+    }
+    if let Some(payload) = job
+        .panic
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
+        std::panic::resume_unwind(payload);
+    }
+}
+
+/// Consumes each part with `f` and returns the per-part results in part
+/// order. The 1-thread path stays inline and never touches the pool.
+#[inline]
 fn run_parts<I, R, F>(parts: Vec<I>, f: F) -> Vec<R>
 where
     I: Send,
@@ -135,32 +339,24 @@ where
     if threads <= 1 {
         return parts.into_iter().map(f).collect();
     }
-    let inherited = POOL_THREADS.with(|c| c.get());
-    let inherited_grain = MIN_PART_OVERRIDE.with(|c| c.get());
+    run_parts_pooled(parts, f, threads)
+}
+
+#[inline(never)]
+fn run_parts_pooled<I, R, F>(parts: Vec<I>, f: F, threads: usize) -> Vec<R>
+where
+    I: Send,
+    R: Send,
+    F: Fn(I) -> R + Sync,
+{
     let n = parts.len();
     let slots: Vec<Mutex<Option<I>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    {
-        let (f, slots, results, next) = (&f, &slots, &results, &next);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(move || {
-                    POOL_THREADS.with(|c| c.set(inherited));
-                    MIN_PART_OVERRIDE.with(|c| c.set(inherited_grain));
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let part = slots[i].lock().unwrap().take().unwrap();
-                        let r = f(part);
-                        *results[i].lock().unwrap() = Some(r);
-                    }
-                });
-            }
-        });
-    }
+    run_job(n, threads, &|i| {
+        let part = slots[i].lock().unwrap().take().unwrap();
+        let r = f(part);
+        *results[i].lock().unwrap() = Some(r);
+    });
     results
         .into_iter()
         .map(|m| m.into_inner().unwrap().unwrap())
@@ -168,6 +364,10 @@ where
 }
 
 /// Runs `a` and `b`, potentially in parallel, and returns both results.
+///
+/// A lazy fork: `b` is offered to the pool, `a` runs on the calling thread,
+/// and then `b` runs inline too unless a worker has already claimed it.
+#[inline]
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -175,18 +375,40 @@ where
     RA: Send,
     RB: Send,
 {
-    if current_num_threads() <= 1 {
+    let threads = current_num_threads();
+    if threads <= 1 {
         return (a(), b());
     }
-    let inherited = POOL_THREADS.with(|c| c.get());
-    std::thread::scope(|scope| {
-        let hb = scope.spawn(move || {
-            POOL_THREADS.with(|c| c.set(inherited));
-            b()
-        });
-        let ra = a();
-        (ra, hb.join().unwrap())
-    })
+    join_pooled(a, b, threads)
+}
+
+#[inline(never)]
+fn join_pooled<A, B, RA, RB>(a: A, b: B, threads: usize) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    let a = Mutex::new(Some(a));
+    let b = Mutex::new(Some(b));
+    let ra = Mutex::new(None);
+    let rb = Mutex::new(None);
+    run_job(2, threads, &|i| {
+        if i == 0 {
+            let a = a.lock().unwrap().take().unwrap();
+            let r = a();
+            *ra.lock().unwrap() = Some(r);
+        } else {
+            let b = b.lock().unwrap().take().unwrap();
+            let r = b();
+            *rb.lock().unwrap() = Some(r);
+        }
+    });
+    (
+        ra.into_inner().unwrap().unwrap(),
+        rb.into_inner().unwrap().unwrap(),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -236,9 +458,10 @@ impl ThreadPoolBuilder {
 }
 
 /// A logical thread pool: a parallelism budget that [`ThreadPool::install`]
-/// pins for the duration of a closure. Workers are spawned per operation
-/// (scoped threads), not kept alive, which is indistinguishable to callers
-/// beyond constant-factor overhead.
+/// pins for the duration of a closure. Every `ThreadPool` draws its workers
+/// from one process-wide set of parked threads, at most
+/// `num_threads - 1` of them per parallel call; building a pool starts no
+/// thread.
 #[derive(Debug)]
 pub struct ThreadPool {
     num_threads: usize,
@@ -910,46 +1133,6 @@ mod tests {
     }
 
     #[test]
-    fn with_min_part_len_splits_a_tiny_fanout() {
-        // Regression for the coarse-grain footgun: under the default
-        // 256-element grain an 8-element fan-out is a single part and runs
-        // entirely on the calling thread, serializing per-shard work that
-        // each carries milliseconds. With the grain overridden to 1 the
-        // same fan-out must actually distribute across the pool.
-        use std::collections::HashSet;
-        use std::sync::Mutex;
-        let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-        ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap()
-            .install(|| {
-                with_min_part_len(1, || {
-                    (0..8usize).into_par_iter().for_each(|_| {
-                        seen.lock().unwrap().insert(std::thread::current().id());
-                        // Coarse enough for the other workers to grab a part
-                        // before the first thread drains the queue.
-                        std::thread::sleep(std::time::Duration::from_millis(2));
-                    })
-                })
-            });
-        assert!(
-            seen.lock().unwrap().len() >= 2,
-            "8-element fan-out under with_min_part_len(1) ran on one thread"
-        );
-    }
-
-    #[test]
-    fn with_min_part_len_restores_default_grain() {
-        let parts_under = with_min_part_len(1, || (0..8usize).into_par_iter().parts.len());
-        let parts_after = (0..8usize).into_par_iter().parts.len();
-        if current_num_threads() > 1 {
-            assert!(parts_under > 1, "override must split an 8-element source");
-        }
-        assert_eq!(parts_after, 1, "default grain must be restored on exit");
-    }
-
-    #[test]
     fn flat_map_iter_flattens_in_order() {
         let v: Vec<u32> = vec![0u32, 1, 2, 3]
             .into_par_iter()
@@ -1072,6 +1255,149 @@ mod tests {
         let (a, b) = join(|| 1 + 1, || "x".to_string() + "y");
         assert_eq!(a, 2);
         assert_eq!(b, "xy");
+    }
+
+    fn in_pool<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
+        ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(op)
+    }
+
+    #[test]
+    fn panics_reach_the_caller_and_the_pool_survives() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let expected: Vec<u64> = (0..20_000u64).map(|x| x * 3).collect();
+        for threads in [2usize, 7] {
+            let calls: [(&str, &(dyn Fn() + Sync)); 3] = [
+                ("for_each", &|| {
+                    (0..20_000u32).into_par_iter().for_each(|x| {
+                        if x >= 10_000 {
+                            panic!("boom");
+                        }
+                    })
+                }),
+                ("collect", &|| {
+                    let _: Vec<u32> = (0..20_000u32)
+                        .into_par_iter()
+                        .map(|x| if x >= 10_000 { panic!("boom") } else { x })
+                        .collect();
+                }),
+                // `a` waits for `b` to start elsewhere, so `b` normally
+                // panics on a worker; if no worker claims it in time, `b`
+                // panics inline and the assertion below still holds.
+                ("join", &|| {
+                    let (started, wait) = mpsc::channel();
+                    join(
+                        move || {
+                            let _ = wait.recv_timeout(Duration::from_secs(5));
+                        },
+                        move || {
+                            let _ = started.send(());
+                            panic!("boom")
+                        },
+                    );
+                }),
+            ];
+            for (name, call) in calls {
+                let caught = catch_unwind(AssertUnwindSafe(|| in_pool(threads, call)));
+                let payload = caught.expect_err("the panic was swallowed");
+                assert_eq!(
+                    payload.downcast_ref::<&str>(),
+                    Some(&"boom"),
+                    "{name} at {threads} threads"
+                );
+                let after: Vec<u64> = in_pool(threads, || {
+                    (0..20_000u64).into_par_iter().map(|x| x * 3).collect()
+                });
+                assert_eq!(after, expected, "{name} at {threads} threads");
+                assert_eq!(in_pool(threads, || join(|| 1, || 2)), (1, 2));
+            }
+        }
+    }
+
+    #[test]
+    fn join_inside_par_iter_inside_install_matches_sequential() {
+        fn fib_seq(n: u64) -> u64 {
+            if n < 2 {
+                n
+            } else {
+                fib_seq(n - 1) + fib_seq(n - 2)
+            }
+        }
+        fn fib_join(n: u64) -> u64 {
+            if n < 2 {
+                return n;
+            }
+            let (a, b) = join(
+                || fib_join(n - 1),
+                || {
+                    // Helpers run under the caller's installed budget.
+                    assert_eq!(current_num_threads(), 7);
+                    fib_join(n - 2)
+                },
+            );
+            a + b
+        }
+        let expected: Vec<u64> = (0..2_000u64).map(|i| fib_seq(i % 12) + i).collect();
+        let got: Vec<u64> = in_pool(7, || {
+            (0..2_000u64)
+                .into_par_iter()
+                .map(|i| {
+                    assert_eq!(current_num_threads(), 7);
+                    fib_join(i % 12) + i
+                })
+                .collect()
+        });
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn concurrent_callers_share_the_pool() {
+        let expected: Vec<u64> = (0..10_000u64)
+            .filter(|x| x % 3 != 0)
+            .map(|x| x * x)
+            .collect();
+        std::thread::scope(|scope| {
+            for caller in 0..4usize {
+                let expected = &expected;
+                scope.spawn(move || {
+                    for call in 0..200 {
+                        let threads = 2 + (caller + call) % 6;
+                        let got: Vec<u64> = in_pool(threads, || {
+                            (0..10_000u64)
+                                .into_par_iter()
+                                .filter(|x| x % 3 != 0)
+                                .map(|x| x * x)
+                                .collect()
+                        });
+                        assert_eq!(&got, expected, "caller {caller}, call {call}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn warm_pool_spawns_no_threads() {
+        // Warm up at 8 threads, the largest count any test in this crate
+        // installs, so concurrently running tests cannot grow the pool
+        // either: it never exceeds the largest installed count minus one.
+        let data: Vec<u64> = (0..4_096).collect();
+        let sum = || in_pool(8, || data.par_iter().sum::<u64>());
+        for _ in 0..100 {
+            assert_eq!(sum(), 4_096 * 4_095 / 2);
+        }
+        let warm = spawned_workers();
+        assert!((1..=7).contains(&warm), "{warm} workers after warm-up");
+        for _ in 0..5_000 {
+            assert_eq!(sum(), 4_096 * 4_095 / 2);
+            assert_eq!(in_pool(8, || join(|| 1, || 2)), (1, 2));
+        }
+        assert_eq!(spawned_workers(), warm, "a warm pool started new threads");
     }
 
     #[test]

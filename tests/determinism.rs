@@ -14,17 +14,37 @@ fn in_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
 
 #[test]
 fn mis_is_thread_count_independent() {
-    let graph = random_graph(3_000, 15_000, 1);
-    let pi = random_permutation(graph.num_vertices(), 2);
-    let reference = in_pool(1, || prefix_mis(&graph, &pi, PrefixPolicy::default()));
-    for threads in [2, 3, 4, 8] {
-        let result = in_pool(threads, || prefix_mis(&graph, &pi, PrefixPolicy::default()));
-        assert_eq!(result, reference, "MIS changed with {threads} threads");
-        let rooted = in_pool(threads, || rootset_mis(&graph, &pi));
-        assert_eq!(
-            rooted, reference,
-            "root-set MIS changed with {threads} threads"
-        );
+    // Large enough that a 2% prefix (over 256 vertices) splits across
+    // workers.
+    let inputs = [
+        ("random", random_graph(40_000, 160_000, 1)),
+        ("rmat", rmat_graph(15, 160_000, 1)),
+    ];
+    for (name, graph) in &inputs {
+        let pi = random_permutation(graph.num_vertices(), 2);
+        let sequential = sequential_mis(graph, &pi);
+        for policy in [PrefixPolicy::default(), PrefixPolicy::FractionOfInput(1.0)] {
+            let reference = in_pool(1, || prefix_mis_with_stats(graph, &pi, policy));
+            assert_eq!(reference.0, sequential);
+            for threads in [2, 3, 7] {
+                let result = in_pool(threads, || prefix_mis_with_stats(graph, &pi, policy));
+                assert_eq!(
+                    result.0, reference.0,
+                    "{name}: MIS changed with {threads} threads under {policy:?}"
+                );
+                assert_eq!(
+                    result.1, reference.1,
+                    "{name}: work counters changed with {threads} threads under {policy:?}"
+                );
+            }
+        }
+        for threads in [2, 3, 7] {
+            assert_eq!(
+                in_pool(threads, || rootset_mis(graph, &pi)),
+                sequential,
+                "{name}: root-set MIS changed with {threads} threads"
+            );
+        }
     }
 }
 
