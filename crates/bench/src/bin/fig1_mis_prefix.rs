@@ -7,9 +7,12 @@
 //!   * running time / N      (Figure 1c / 1f, here reported in ns per vertex)
 //!
 //! `--graph random` regenerates Figure 1(a–c); `--graph rmat` regenerates
-//! Figure 1(d–f). The expected shapes: work/N rises from 1 toward ~2–3,
-//! rounds/N falls from 1 toward ~1/N, and time/N is U-shaped with an interior
-//! optimum.
+//! Figure 1(d–f). The expected shapes: work/N rises from 1 toward ~1.3–1.5
+//! at the full prefix, rounds/N falls from 1 toward ~1/N, and time/N is
+//! U-shaped with an interior optimum. At the default 2% prefix on one
+//! thread the kernel takes ≈1.3× the serial time on uniform graphs and
+//! ≈1.35× on rMat (perfbench medians at 5·10⁵ vertices / 2.5·10⁶ edges on a
+//! 2-vCPU Xeon).
 
 use greedy_bench::{
     prefix_fraction_sweep, print_csv_header, secs, time_best_of, ExperimentGraph, HarnessConfig,

@@ -8,7 +8,10 @@
 //! faster than Luby at every thread count because it does less work, beats
 //! the sequential algorithm with only a couple of threads, and scales to
 //! 14–17× speedup; Luby needs many more threads to catch the sequential
-//! implementation.
+//! implementation. Here the prefix-based algorithm takes ≈1.3× the
+//! sequential time on one thread (≈1.35× on rMat; perfbench medians at
+//! 5·10⁵ vertices / 2.5·10⁶ edges on a 2-vCPU Xeon), so it beats the
+//! sequential algorithm once its speedup exceeds that factor.
 
 use greedy_bench::{
     print_csv_header, run_on_threads, secs, time_best_of, ExperimentGraph, HarnessConfig,

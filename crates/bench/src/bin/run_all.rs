@@ -10,7 +10,7 @@
 //! In `--quick` mode it additionally times fixed-size hot paths — among them
 //! the parallel runtime's `join` and 4096-item `par_iter` sum,
 //! random-permutation construction, edge-list → CSR build, and serial and
-//! prefix-based greedy matching — and writes them to
+//! prefix-based greedy MIS and matching — and writes them to
 //! `results/BENCH_quick.json`. CI uploads that file as an artifact on every
 //! run, giving future PRs a perf trajectory to compare against. Adding
 //! `--compare` diffs the fresh rows against the trajectory file's pre-run
@@ -27,8 +27,9 @@ use greedy_bench::{
 };
 use greedy_core::matching::prefix::prefix_matching;
 use greedy_core::matching::sequential::sequential_matching;
-use greedy_core::mis::prefix::PrefixPolicy;
-use greedy_core::ordering::random_edge_permutation;
+use greedy_core::mis::prefix::{prefix_mis, PrefixPolicy};
+use greedy_core::mis::sequential::sequential_mis;
+use greedy_core::ordering::{random_edge_permutation, random_permutation};
 use greedy_engine::prelude::{DynGraph, Engine};
 use greedy_graph::csr::Graph;
 use greedy_graph::gen::random::{random_edge_list, random_graph};
@@ -170,7 +171,7 @@ struct QuickEntry {
 
 /// Times the parallel runtime's fork/join cost (median of 2000 calls), the
 /// permutation and CSR-build hot paths, serial and prefix-based
-/// greedy matching, the batch-dynamic engine's mixed-batch and
+/// greedy MIS and matching, the batch-dynamic engine's mixed-batch and
 /// matching-heavy update paths (1 thread and the machine's full
 /// parallelism), and the flat-vs-nested membership-probe microbench, and
 /// writes `results/BENCH_quick.json`.
@@ -189,6 +190,7 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
     let reps = cfg.reps.max(2);
     let edges = random_edge_list(CSR_N, CSR_M, cfg.seed);
     let edge_pi = random_edge_permutation(edges.num_edges(), cfg.seed.wrapping_add(2));
+    let vertex_pi = random_permutation(CSR_N, cfg.seed.wrapping_add(3));
     let mut entries: Vec<QuickEntry> = Vec::new();
     for &threads in &cfg.threads {
         // Fork/join cost of the parallel runtime: an empty `join` and a
@@ -238,25 +240,36 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
             m: graph.num_edges(),
             seconds: secs(csr_time),
         });
-        // The paper's matching kernels on the same edge list: serial greedy
-        // and prefix-based matching at the default 2% prefixes, which must
-        // return the same matching.
-        let (serial_time, serial_mm) = time_best_of(reps, || sequential_matching(&edges, &edge_pi));
-        let (prefix_time, prefix_mm) = run_on_threads(threads, || {
+        // The paper's kernels on the same graph: serial greedy and
+        // prefix-based MIS and matching at the default 2% prefixes, which
+        // must return the serial results.
+        let (mis_serial_time, serial_mis) =
+            time_best_of(reps, || sequential_mis(&graph, &vertex_pi));
+        let (mis_prefix_time, parallel_mis) = run_on_threads(threads, || {
+            time_best_of(reps, || {
+                prefix_mis(&graph, &vertex_pi, PrefixPolicy::default())
+            })
+        });
+        assert_eq!(parallel_mis, serial_mis, "prefix MIS differs from serial");
+        let (mm_serial_time, serial_mm) =
+            time_best_of(reps, || sequential_matching(&edges, &edge_pi));
+        let (mm_prefix_time, prefix_mm) = run_on_threads(threads, || {
             time_best_of(reps, || {
                 prefix_matching(&edges, &edge_pi, PrefixPolicy::default())
             })
         });
         assert_eq!(prefix_mm, serial_mm, "prefix matching differs from serial");
-        for (name, seconds) in [
-            ("paper_mm_serial", serial_time),
-            ("paper_mm_prefix", prefix_time),
+        for (name, m, seconds) in [
+            ("paper_mis_serial", graph.num_edges(), mis_serial_time),
+            ("paper_mis_prefix", graph.num_edges(), mis_prefix_time),
+            ("paper_mm_serial", edges.num_edges(), mm_serial_time),
+            ("paper_mm_prefix", edges.num_edges(), mm_prefix_time),
         ] {
             entries.push(QuickEntry {
                 name,
                 threads,
                 n: CSR_N,
-                m: edges.num_edges(),
+                m,
                 seconds: secs(seconds),
             });
         }
@@ -386,6 +399,7 @@ fn write_quick_bench(cfg: &HarnessConfig, out_dir: &Path) {
             "csr_from_edge_list",
             "engine_",
             "membership_probe",
+            "paper_mis_",
             "paper_mm_",
             "rt_",
         ],

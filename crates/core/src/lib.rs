@@ -72,7 +72,6 @@ pub mod prelude {
     pub use crate::matching::verify::{verify_matching, verify_maximal_matching};
     pub use crate::mis::luby::luby_mis;
     pub use crate::mis::prefix::{prefix_mis, prefix_mis_with_stats, PrefixPolicy};
-    pub use crate::mis::prefix_packed::{packed_prefix_mis, packed_prefix_mis_with_stats};
     pub use crate::mis::rootset::rootset_mis;
     pub use crate::mis::rounds::rounds_mis;
     pub use crate::mis::sequential::sequential_mis;

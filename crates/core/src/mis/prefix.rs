@@ -6,18 +6,52 @@
 //! fully decided. Smaller prefixes do less redundant work (a prefix of one
 //! vertex is exactly the sequential algorithm); larger prefixes expose more
 //! parallelism. Whatever the prefix size, the returned MIS is identical to
-//! the sequential one.
+//! the sequential one. This is the implementation the paper benchmarks
+//! (Section 6).
 //!
-//! This is the implementation the paper benchmarks (Section 6), using lazy
-//! status updates on the original vertex array: vertices knocked out by an
-//! earlier prefix are simply skipped when they come up in a later prefix.
+//! Every vertex has one state: Undecided, Live (undecided and in the current
+//! prefix), In or Out. A round marks the prefix's undecided vertices Live;
+//! those an earlier prefix knocked out are skipped (the lazy status update).
+//! Each active vertex keeps a cursor into its adjacency list. The Live
+//! vertices are then resolved by parallel steps of two passes each:
+//!
+//! 1. **decide** — every active vertex resumes its scan at its cursor,
+//!    skipping neighbors that are not Live without looking up their rank. It
+//!    stops at the first Live neighbor of smaller rank and saves the cursor
+//!    there. A vertex whose scan reaches the end of its list wins.
+//! 2. **knock out** — every winner marks its neighbors Out and itself In.
+//!    The vertices still Live stay active.
+//!
+//! All vertices of earlier prefixes are decided, so an Undecided neighbor
+//! belongs to a later prefix. A vertex therefore wins exactly when all its
+//! earlier neighbors are Out: the sequential greedy condition. Winners are
+//! never adjacent, and the earliest Live vertex always wins, so every step
+//! makes progress. A skipped neighbor is either Out, which is final, or
+//! later than the vertex, so a saved cursor stays valid and a scan reads
+//! each adjacency entry once, plus one re-read of the neighbor it waits on
+//! per step it waits. Within a step only the knock-out pass writes states,
+//! so every decision depends only on the states at step boundaries: the MIS
+//! and the counters are the same at every thread count.
+//!
+//! `edge_work` counts the adjacency entries read: the decide scans,
+//! including each re-read of the neighbor a vertex waits on, plus the
+//! winners' knock-out reads. The first term is at most `num_arcs` plus one
+//! read per vertex examination and the second at most `num_arcs`, so
+//! `edge_work ≤ 2 · num_arcs + vertex_work` for every prefix size.
+
+use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 
 use greedy_graph::csr::Graph;
 use greedy_prims::permutation::Permutation;
 use rayon::prelude::*;
 
-use crate::mis::{collect_in_vertices, VertexState};
 use crate::stats::WorkStats;
+
+/// Vertex states. Live marks the undecided vertices of the current prefix.
+const UNDECIDED: u8 = 0;
+const LIVE: u8 = 1;
+const IN: u8 = 2;
+const OUT: u8 = 3;
 
 /// How the prefix size is chosen each round.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,9 +108,18 @@ pub fn prefix_mis(graph: &Graph, pi: &Permutation, policy: PrefixPolicy) -> Vec<
 }
 
 /// Runs the prefix-based parallel greedy MIS and reports work counters:
-/// `rounds` = prefixes processed, `steps` = inner parallel steps summed over
-/// prefixes, `vertex_work` = vertex examinations (≥ n; equal to n at prefix
-/// size 1), `edge_work` = adjacency inspections.
+/// * `rounds` — prefixes processed;
+/// * `steps` — decide/knock-out steps summed over prefixes;
+/// * `vertex_work` — vertex examinations: one for a vertex already decided
+///   when its prefix arrives, otherwise one per step it takes part in (so
+///   prefix size 1 gives exactly n, like the sequential algorithm);
+/// * `edge_work` — adjacency entries read: the decide scans, counting each
+///   re-read of the neighbor a vertex waits on, plus the winners' knock-out
+///   reads. It is at most `2 · num_arcs + vertex_work`, and exactly twice
+///   the sequential algorithm's at prefix size 1.
+///
+/// # Panics
+/// Panics if `pi.len() != graph.num_vertices()`.
 pub fn prefix_mis_with_stats(
     graph: &Graph,
     pi: &Permutation,
@@ -90,115 +133,115 @@ pub fn prefix_mis_with_stats(
         pi.len(),
         n
     );
-    let max_degree = graph.max_degree();
+    // Only the adaptive policy reads the maximum degree, and it costs a pass
+    // over the vertices.
+    let max_degree = match policy {
+        PrefixPolicy::Adaptive { .. } => graph.max_degree(),
+        _ => 0,
+    };
     let rank = pi.rank();
     let order = pi.order();
 
-    let mut state = vec![VertexState::Undecided; n];
+    // The passes are separated by the joins that end each parallel call, and
+    // the states publish no other data, so relaxed accesses suffice.
+    let state: Vec<AtomicU8> = (0..n).map(|_| AtomicU8::new(UNDECIDED)).collect();
     let mut stats = WorkStats::new();
     // `start` is the first position in π not yet covered by a prefix.
     let mut start = 0usize;
 
     while start < n {
-        let remaining = n - start;
-        let k = policy.prefix_size(n, remaining, max_degree, stats.rounds);
-        let prefix = &order[start..start + k];
+        let k = policy.prefix_size(n, n - start, max_degree, stats.rounds);
         stats.rounds += 1;
 
-        // Vertices of the prefix that are still undecided (lazy status
-        // updates: earlier prefixes may already have knocked some out).
-        let mut active: Vec<u32> = prefix
-            .iter()
-            .copied()
-            .filter(|&v| state[v as usize] == VertexState::Undecided)
+        // The prefix's undecided vertices turn Live. An entry holds the
+        // vertex's π-position, which is its rank, and its scan cursor. The
+        // vertices already out are charged one examination here; the live
+        // ones are charged per step below.
+        let mut active: Vec<(u32, u32)> = (start as u32..(start + k) as u32)
+            .into_par_iter()
+            .filter_map(|pos| {
+                let v = order[pos as usize] as usize;
+                (state[v].load(Relaxed) == UNDECIDED).then(|| {
+                    state[v].store(LIVE, Relaxed);
+                    (pos, 0)
+                })
+            })
             .collect();
-        // Work accounting matches the paper's normalization: the sequential
-        // algorithm (prefix size 1) examines each vertex exactly once, so a
-        // vertex already decided when its prefix arrives is charged here and
-        // the still-active ones are charged per inner step below.
-        stats.vertex_work += (prefix.len() - active.len()) as u64;
+        stats.vertex_work += (k - active.len()) as u64;
 
-        // Run the parallel greedy steps (Algorithm 2) inside the prefix. All
-        // vertices earlier than the prefix are already decided, so a prefix
-        // vertex only ever waits on earlier vertices *inside* the prefix.
         while !active.is_empty() {
             stats.steps += 1;
             stats.vertex_work += active.len() as u64;
 
-            let decisions: Vec<VertexState> = active
-                .par_iter()
-                .map(|&v| {
-                    let mut has_undecided_earlier = false;
-                    for &w in graph.neighbors(v) {
-                        if rank[w as usize] < rank[v as usize] {
-                            match state[w as usize] {
-                                VertexState::In => return VertexState::Out,
-                                VertexState::Undecided => has_undecided_earlier = true,
-                                VertexState::Out => {}
-                            }
-                        }
-                    }
-                    if has_undecided_earlier {
-                        VertexState::Undecided
-                    } else {
-                        VertexState::In
-                    }
+            // Decide: advance each cursor to the first Live earlier
+            // neighbor, or to the end of the list for a winner.
+            stats.edge_work += active
+                .par_iter_mut()
+                .map(|(pos, cursor)| {
+                    let neighbors = graph.neighbors(order[*pos as usize]);
+                    let from = *cursor as usize;
+                    let blocker = neighbors[from..].iter().position(|&w| {
+                        state[w as usize].load(Relaxed) == LIVE && rank[w as usize] < *pos
+                    });
+                    let (to, read) = match blocker {
+                        Some(i) => (from + i, i + 1),
+                        None => (neighbors.len(), neighbors.len() - from),
+                    };
+                    *cursor = to as u32;
+                    read as u64
                 })
-                .collect();
-            stats.edge_work += active.iter().map(|&v| graph.degree(v) as u64).sum::<u64>();
+                .sum::<u64>();
 
-            let mut next_active = Vec::with_capacity(active.len());
-            for (i, &v) in active.iter().enumerate() {
-                match decisions[i] {
-                    VertexState::Undecided => next_active.push(v),
-                    s => state[v as usize] = s,
-                }
-            }
+            // Knock out: winners are pairwise non-adjacent and no neighbor of
+            // a Live vertex is In, so every write here is some winner marking
+            // a neighbor Out or a winner marking itself In. The stores are
+            // unconditional: testing for Out first costs a branch miss per
+            // neighbor. Walking the entries in reverse starts with the lists
+            // the decide pass left in cache.
+            active.reverse();
+            stats.edge_work += active
+                .par_iter()
+                .map(|&(pos, cursor)| {
+                    let v = order[pos as usize];
+                    let neighbors = graph.neighbors(v);
+                    if cursor as usize != neighbors.len() {
+                        return 0;
+                    }
+                    for &w in neighbors {
+                        state[w as usize].store(OUT, Relaxed);
+                    }
+                    state[v as usize].store(IN, Relaxed);
+                    neighbors.len() as u64
+                })
+                .sum::<u64>();
+
+            let before = active.len();
+            active.retain(|&(pos, _)| state[order[pos as usize] as usize].load(Relaxed) == LIVE);
             assert!(
-                next_active.len() < active.len(),
+                active.len() < before,
                 "prefix_mis: no progress within a prefix step"
             );
-            active = next_active;
-        }
-
-        // Knock out the later neighbors of the vertices this prefix accepted.
-        // (Their own later prefixes will observe state Out lazily; marking
-        // them now keeps the inner loop's reads consistent.)
-        let newly_in: Vec<u32> = prefix
-            .iter()
-            .copied()
-            .filter(|&v| state[v as usize] == VertexState::In)
-            .collect();
-        let knocked: Vec<u32> = newly_in
-            .par_iter()
-            .flat_map_iter(|&v| {
-                graph
-                    .neighbors(v)
-                    .iter()
-                    .copied()
-                    .filter(move |&w| rank[w as usize] > rank[v as usize])
-            })
-            .collect();
-        stats.edge_work += newly_in
-            .iter()
-            .map(|&v| graph.degree(v) as u64)
-            .sum::<u64>();
-        for w in knocked {
-            if state[w as usize] == VertexState::Undecided {
-                state[w as usize] = VertexState::Out;
-            }
         }
 
         start += k;
     }
 
-    (collect_in_vertices(&state), stats)
+    // A branch-free compaction: the In test is a coin flip per vertex.
+    let mut mis = vec![0u32; n];
+    let mut len = 0;
+    for (v, s) in state.into_iter().enumerate() {
+        mis[len] = v as u32;
+        len += (s.into_inner() == IN) as usize;
+    }
+    mis.truncate(len);
+    mis.shrink_to_fit();
+    (mis, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mis::sequential::sequential_mis;
+    use crate::mis::sequential::{sequential_mis, sequential_mis_with_stats};
     use crate::mis::verify::verify_mis;
     use crate::ordering::{identity_permutation, random_permutation};
     use greedy_graph::gen::random::random_graph;
@@ -282,6 +325,79 @@ mod tests {
         // left endpoint).
         assert_eq!(stats.rounds, 300);
         assert_eq!(stats.vertex_work, 300);
+        // Each accepted vertex reads its list twice, once to decide and once
+        // to knock out its neighbors; the sequential loop reads it once.
+        let (_, seq) = sequential_mis_with_stats(&g, &pi);
+        assert_eq!(stats.edge_work, 2 * seq.edge_work);
+    }
+
+    #[test]
+    fn scan_work_is_linear() {
+        // A scan reads each adjacency entry once, plus one re-read per step a
+        // vertex waits; the knock-out reads each winner's list once more.
+        let graphs = [
+            ("random", random_graph(10_000, 50_000, 7)),
+            ("rmat", rmat_graph(14, 80_000, 3)),
+        ];
+        for (name, g) in graphs {
+            let pi = random_permutation(g.num_vertices(), 8);
+            for policy in [PrefixPolicy::default(), PrefixPolicy::FractionOfInput(1.0)] {
+                let (_, stats) = prefix_mis_with_stats(&g, &pi, policy);
+                let bound = 2 * g.num_arcs() as u64 + stats.vertex_work;
+                assert!(
+                    stats.edge_work <= bound,
+                    "{name} under {policy:?}: edge_work {} > {bound}",
+                    stats.edge_work
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn long_chains_resume_their_scans() {
+        // On a path in identity order each vertex waits on its left
+        // neighbor, at the start of its list; in reversed order it waits on
+        // its right neighbor, after skipping the left one. Either way the
+        // full prefix takes one step per accepted vertex, and every waiting
+        // vertex resumes its scan over many steps.
+        let n = 2_001;
+        let g = path_graph(n);
+        let orders = [
+            ("identity", identity_permutation(n)),
+            (
+                "reversed",
+                Permutation::from_order((0..n as u32).rev().collect()),
+            ),
+        ];
+        let pools: Vec<_> = [1, 3]
+            .iter()
+            .map(|&t| {
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(t)
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        for (name, pi) in orders {
+            let expected = sequential_mis(&g, &pi);
+            assert_eq!(expected.len(), n.div_ceil(2));
+            for policy in policies() {
+                let runs: Vec<_> = pools
+                    .iter()
+                    .map(|pool| pool.install(|| prefix_mis_with_stats(&g, &pi, policy)))
+                    .collect();
+                let (mis, stats) = &runs[0];
+                assert_eq!(mis, &expected, "policy {policy:?} diverged on {name}");
+                assert_eq!(
+                    runs[1], runs[0],
+                    "policy {policy:?} on {name}: pools differ"
+                );
+                assert!(stats.edge_work <= 2 * g.num_arcs() as u64 + stats.vertex_work);
+                if policy == PrefixPolicy::FractionOfInput(1.0) {
+                    assert_eq!(stats.steps, n.div_ceil(2) as u64, "{name}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,8 +16,11 @@
 ///   `vertex_work` equals the input size; Figure 1(a)/2(a) plot
 ///   `vertex_work / input size`.
 /// * `edge_work` counts neighbor inspections (adjacency-list traversals).
-///   The prefix-based matching inspects no adjacency lists: there it counts
-///   endpoint reservations, two per edge per step.
+///   For the prefix-based MIS it is the adjacency entries read: the decide
+///   scans, counting each re-read of the neighbor a vertex waits on, plus
+///   the winners' knock-out reads. The prefix-based matching inspects no
+///   adjacency lists: there it counts endpoint reservations, two per edge
+///   per step.
 /// * `rounds` counts iterations of the *outer* loop: prefixes processed for
 ///   the prefix-based algorithms, synchronous rounds for the rounds/root-set
 ///   algorithms, and `input size` for the sequential algorithms. Figure
@@ -33,8 +36,9 @@ pub struct WorkStats {
     pub steps: u64,
     /// Element examinations (vertices for MIS, edges for MM).
     pub vertex_work: u64,
-    /// Neighbor/adjacency inspections (endpoint reservations for the
-    /// prefix-based matching).
+    /// Neighbor/adjacency inspections (adjacency entries read for the
+    /// prefix-based MIS, endpoint reservations for the prefix-based
+    /// matching).
     pub edge_work: u64,
 }
 

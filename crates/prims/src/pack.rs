@@ -1,11 +1,10 @@
 //! Packing (filtering) primitives.
 //!
-//! The prefix-based MIS implementation (Theorem 4.5 of the paper) repeatedly
-//! densely packs surviving prefix vertices into new arrays; root-set
-//! maintenance packs newly discovered roots. Packing a slice under a predicate
-//! is a scan over 0/1 flags followed by a scatter, which is what
-//! [`par_pack`] implements. Order is preserved and the output matches the
-//! sequential filter exactly.
+//! The paper's linear-work variant (Theorem 4.5) densely packs the surviving
+//! vertices of a prefix into new arrays, and graph construction drops
+//! duplicate arcs. Packing a slice under a predicate is a scan over 0/1
+//! flags followed by a scatter, which is what [`par_pack`] implements. Order
+//! is preserved and the output matches the sequential filter exactly.
 
 use rayon::prelude::*;
 

@@ -64,7 +64,6 @@ pub mod prelude {
     pub use greedy_core::matching::verify::{verify_matching, verify_maximal_matching};
     pub use greedy_core::mis::luby::luby_mis;
     pub use greedy_core::mis::prefix::{prefix_mis, prefix_mis_with_stats, PrefixPolicy};
-    pub use greedy_core::mis::prefix_packed::{packed_prefix_mis, packed_prefix_mis_with_stats};
     pub use greedy_core::mis::rootset::rootset_mis;
     pub use greedy_core::mis::rounds::rounds_mis;
     pub use greedy_core::mis::sequential::sequential_mis;
