@@ -15,15 +15,17 @@
 //! run, giving future PRs a perf trajectory to compare against. Adding
 //! `--compare` diffs the fresh rows against the trajectory file's pre-run
 //! contents (the committed baseline in CI) and prints a warning — never a
-//! failure — for every throughput row that regressed by more than 25%.
+//! failure — for every throughput row that regressed by more than 25%. A
+//! baseline whose `host_threads` differs from this host's is not diffed;
+//! `run_all` prints that it skipped.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use greedy_bench::{
-    compare_quick_entries, engine_matching_heavy_batch, engine_mixed_batch, merge_quick_entries,
-    read_quick_entries, run_on_threads, secs, time_best_of, HarnessConfig,
+    compare_quick_baseline, engine_matching_heavy_batch, engine_mixed_batch, merge_quick_entries,
+    read_quick_entries, read_quick_host_threads, run_on_threads, secs, time_best_of, HarnessConfig,
 };
 use greedy_core::matching::prefix::prefix_matching;
 use greedy_core::matching::sequential::sequential_matching;
@@ -64,12 +66,16 @@ fn main() {
         // `--compare` diffs the fresh rows against whatever the trajectory
         // file held *before* this run — in CI that is the committed
         // baseline — so snapshot it ahead of the merge.
-        let baseline = cfg
-            .compare
-            .then(|| read_quick_entries(&out_dir.join("BENCH_quick.json")));
+        let trajectory = out_dir.join("BENCH_quick.json");
+        let baseline = cfg.compare.then(|| {
+            (
+                read_quick_entries(&trajectory),
+                read_quick_host_threads(&trajectory),
+            )
+        });
         write_quick_bench(&cfg, &out_dir);
-        if let Some(baseline) = baseline {
-            compare_against_baseline(&baseline, &out_dir);
+        if let Some((rows, host_threads)) = baseline {
+            compare_against_baseline(&rows, host_threads, &out_dir);
         }
     }
 
@@ -123,14 +129,27 @@ fn main() {
 /// Warning only, never a failure: quick-mode numbers from a shared CI box
 /// are too noisy for a hard gate, but the warning makes a persistent
 /// regression visible in the job log while the uploaded artifact keeps the
-/// exact rows for the trajectory.
-fn compare_against_baseline(baseline: &[String], out_dir: &Path) {
+/// exact rows for the trajectory. A baseline from a host with another thread
+/// count is not diffed; the skip is printed instead.
+fn compare_against_baseline(baseline: &[String], host_threads: Option<u64>, out_dir: &Path) {
     if baseline.is_empty() {
         eprintln!("== compare: no baseline rows to diff against, skipping");
         return;
     }
     let fresh = read_quick_entries(&out_dir.join("BENCH_quick.json"));
-    let warnings = compare_quick_entries(baseline, &fresh, 25.0);
+    let warnings = match compare_quick_baseline(
+        baseline,
+        host_threads,
+        &fresh,
+        num_cpus::get() as u64,
+        25.0,
+    ) {
+        Ok(warnings) => warnings,
+        Err(why) => {
+            eprintln!("== compare: {why}, skipping the diff");
+            return;
+        }
+    };
     if warnings.is_empty() {
         eprintln!(
             "== compare: no >25% throughput regressions across {} baseline rows",

@@ -110,8 +110,6 @@ struct LoadConfig {
     verify_rounds: bool,
     /// Run the 500k-vertex snapshot-publication microbenchmark.
     publish_bench: bool,
-    max_batch_updates: usize,
-    max_delay: Duration,
     /// Pause between reader queries. Readers are latency *samplers*; left
     /// unpaced (0) they are closed-loop saturators that — on small machines
     /// — time-share the engine thread off the CPU and measure scheduler
@@ -157,8 +155,6 @@ impl Default for LoadConfig {
             seed: 42,
             verify_rounds: false,
             publish_bench: false,
-            max_batch_updates: 8_192,
-            max_delay: Duration::from_millis(2),
             reader_pace: Duration::from_millis(1),
             data_dir: None,
             crash_recover: false,
@@ -302,10 +298,6 @@ fn run_load<E: CommitEngine>(engine: E, base: &Graph, cfg: &LoadConfig) {
     let handle = serve(
         engine,
         ServerConfig {
-            rounds: RoundConfig {
-                max_batch_updates: cfg.max_batch_updates,
-                max_delay: cfg.max_delay,
-            },
             record_rounds: cfg.verify_rounds,
             wal: cfg.data_dir.clone().map(WalConfig::durable),
             ..ServerConfig::default()

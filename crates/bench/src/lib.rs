@@ -433,6 +433,19 @@ pub fn merge_quick_entries(
     let (target, content) = match fs::read_to_string(path) {
         Ok(text) => match split_quick_entries(&text) {
             Some((head, entries, tail)) => {
+                // The header describes the host that wrote the latest rows,
+                // so `--compare` on the next run diffs against the right one.
+                let head = head
+                    .lines()
+                    .map(|l| {
+                        if l.trim_start().starts_with("\"host_threads\":") {
+                            format!("  \"host_threads\": {},", num_cpus::get())
+                        } else {
+                            l.to_string()
+                        }
+                    })
+                    .collect::<Vec<_>>()
+                    .join("\n");
                 let mut kept: Vec<String> = entries.into_iter().filter(|e| !owned(e)).collect();
                 kept.extend(rows.iter().cloned());
                 (
@@ -466,6 +479,35 @@ pub fn read_quick_entries(path: &std::path::Path) -> Vec<String> {
         .ok()
         .and_then(|text| split_quick_entries(&text).map(|(_, entries, _)| entries))
         .unwrap_or_default()
+}
+
+/// The `"host_threads"` a trajectory file's header records, or `None` when
+/// the file is missing or records none.
+pub fn read_quick_host_threads(path: &std::path::Path) -> Option<u64> {
+    let text = std::fs::read_to_string(path).ok()?;
+    json_num_field(&text, "host_threads").map(|t| t as u64)
+}
+
+/// The `--compare` diff, gated on the host. A baseline measured with another
+/// `host_threads` than the fresh run is not diffed at all: every parallel
+/// row would move with the core count, not with the code. Returns why it
+/// skipped as `Err`, else the warnings of [`compare_quick_entries`].
+pub fn compare_quick_baseline(
+    baseline: &[String],
+    baseline_host_threads: Option<u64>,
+    fresh: &[String],
+    fresh_host_threads: u64,
+    threshold_pct: f64,
+) -> Result<Vec<String>, String> {
+    match baseline_host_threads {
+        Some(t) if t == fresh_host_threads => {
+            Ok(compare_quick_entries(baseline, fresh, threshold_pct))
+        }
+        Some(t) => Err(format!(
+            "baseline host_threads {t} differs from this run's {fresh_host_threads}"
+        )),
+        None => Err("baseline records no host_threads".to_string()),
+    }
 }
 
 /// Extracts a `"key": "string"` field from a one-line JSON entry object.
@@ -717,5 +759,42 @@ mod tests {
             .all(|w| !w.starts_with("sort_pass")));
         // An empty baseline (file missing / first run) is silent.
         assert!(compare_quick_entries(&[], &fresh, 25.0).is_empty());
+    }
+
+    #[test]
+    fn compare_skips_a_baseline_from_another_host() {
+        let row = |seconds: f64| {
+            format!("    {{\"name\": \"sort_pass\", \"threads\": 1, \"seconds\": {seconds:.6}}}")
+        };
+        let (baseline, fresh) = (vec![row(1.0)], vec![row(2.0)]);
+        // Same host: the 100% regression warns.
+        let same = compare_quick_baseline(&baseline, Some(2), &fresh, 2, 25.0);
+        assert_eq!(same.map(|w| w.len()), Ok(1));
+        // Another host, or none recorded: no diff at all, and it says why.
+        let other = compare_quick_baseline(&baseline, Some(1), &fresh, 2, 25.0).unwrap_err();
+        assert!(
+            other.contains("host_threads 1") && other.contains("2"),
+            "{other}"
+        );
+        assert!(compare_quick_baseline(&baseline, None, &fresh, 2, 25.0).is_err());
+    }
+
+    #[test]
+    fn merge_rewrites_host_threads_and_reads_it_back() {
+        let dir = std::env::temp_dir().join(format!("quick_host_{}", std::process::id()));
+        let path = dir.join("BENCH_quick.json");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            &path,
+            "{\n  \"schema\": 1,\n  \"seed\": 1,\n  \"reps\": 1,\n  \"host_threads\": 999,\n  \
+             \"entries\": [\n    {\"name\": \"old\", \"seconds\": 1.0}\n  ]\n}\n",
+        )
+        .unwrap();
+        assert_eq!(read_quick_host_threads(&path), Some(999));
+        let rows = ["    {\"name\": \"new\", \"seconds\": 2.0}".to_string()];
+        merge_quick_entries(&path, 1, &["new"], "test", &rows);
+        assert_eq!(read_quick_host_threads(&path), Some(num_cpus::get() as u64));
+        assert_eq!(read_quick_entries(&path).len(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -27,8 +27,8 @@
 //! * [`rounds`] — the group-commit scheduler: concurrent writers stage
 //!   updates, a dedicated engine thread drains them into one
 //!   [`Engine::apply_batch`](greedy_engine::engine::Engine::apply_batch) per
-//!   round (flush on batch size or delay), and every writer learns its
-//!   round's delta.
+//!   round (whenever the engine thread is free, with no timer), and every
+//!   writer learns its round's delta.
 //! * [`snapshot`] — after each round an immutable copy-on-write MIS-bitset +
 //!   partner-array snapshot is swapped into a shared slot; queries read the
 //!   `Arc` and never block on repairs, and publication costs only the pages
@@ -87,7 +87,7 @@ pub mod prelude {
         StatsReply,
     };
     pub use crate::replica::{snapshot_chunks, FoldError, ReplicaState, SnapshotAssembler};
-    pub use crate::rounds::{CommitSinks, CommittedRound, RoundConfig, RoundScheduler};
+    pub use crate::rounds::{CommitSinks, CommittedRound, RoundScheduler};
     pub use crate::serve::{
         serve, serve_on, Client, ServerConfig, ServerHandle, ShutdownReport, Subscriber,
     };

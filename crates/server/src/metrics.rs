@@ -16,7 +16,7 @@
 //!
 //! | name | what |
 //! |---|---|
-//! | `server_commit_stage_wait_us` | first staged update → round drained |
+//! | `server_commit_stage_wait_us` | first staged update → round drained: queueing behind the in-flight round plus engine wake-up |
 //! | `server_commit_apply_us` | the whole `Engine::apply_batch` call |
 //! | `server_commit_repair_us` | MIS + matching repair portion of apply |
 //! | `server_commit_wal_us` | WAL append + periodic checkpoint |
@@ -62,7 +62,9 @@ pub struct RoundTrace {
     pub round: u64,
     /// Updates the round carried (insertions + deletions staged).
     pub updates: u64,
-    /// First staged update → round drained by the engine thread.
+    /// First staged update → round drained by the engine thread. The engine
+    /// drains as soon as it is free, so this is queueing behind the round
+    /// in flight plus the engine thread's wake-up; there is no timer.
     pub stage_wait_us: u64,
     /// Full `Engine::apply_batch` duration.
     pub apply_us: u64,

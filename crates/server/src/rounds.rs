@@ -3,12 +3,15 @@
 //! Writers do not call the engine; they stage edge updates into a mutex'd
 //! staging buffer and block. A dedicated engine thread ([`RoundScheduler::
 //! drive`]) drains the buffer into **one** [`Engine::apply_batch`] call per
-//! round — the bulk-synchronous pseudo-streaming pattern: a round flushes as
-//! soon as [`RoundConfig::max_batch_updates`] updates have accumulated
-//! (throughput bound) or [`RoundConfig::max_delay`] after the first staged
-//! update (latency bound), whichever comes first. After the batch is applied
-//! the engine thread publishes the new snapshot and wakes every writer whose
-//! updates rode in that round with the round's [`RoundDelta`].
+//! round — the bulk-synchronous pseudo-streaming pattern. The engine thread
+//! commits whenever it is idle: it sleeps only while nothing is staged, and
+//! the moment it is free it takes *everything* staged as the next round.
+//! There is no timer and no size trigger. Rounds grow on their own, as in
+//! database group commit: writers that arrive while a round is being
+//! applied, logged and published all share the round after it. After the
+//! batch is applied the engine thread publishes the new snapshot and wakes
+//! every writer whose updates rode in that round with the round's
+//! [`RoundDelta`].
 //!
 //! Batching is what turns per-update costs into per-round costs: the engine's
 //! repair work is proportional to the *affected* state, and its parallel sort
@@ -26,7 +29,7 @@ use std::collections::HashMap;
 use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use greedy_engine::prelude::{CommitEngine, EdgeBatch};
 use greedy_graph::edge_list::Edge;
@@ -46,25 +49,6 @@ use crate::wal::Wal;
 /// `shutdown()` drain).
 pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Flush policy for the round scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundConfig {
-    /// Flush as soon as this many updates are staged.
-    pub max_batch_updates: usize,
-    /// Flush this long after the first update of a round was staged, even if
-    /// the round is not full — bounds a lone writer's commit latency.
-    pub max_delay: Duration,
-}
-
-impl Default for RoundConfig {
-    fn default() -> Self {
-        Self {
-            max_batch_updates: 4096,
-            max_delay: Duration::from_millis(2),
-        }
-    }
 }
 
 /// Error returned to writers that arrive after shutdown began.
@@ -137,8 +121,8 @@ struct State {
     /// Updates staged for the open round (`insertions.len() +
     /// deletions.len()`).
     staged: usize,
-    /// When the open round received its first update (starts the delay
-    /// clock).
+    /// When the open round received its first update: the start of its
+    /// stage wait (queueing behind the in-flight round plus wake-up).
     opened_at: Option<Instant>,
     /// Id the currently staged updates will commit as.
     staging_round: u64,
@@ -155,18 +139,23 @@ struct State {
 /// engine thread.
 pub struct RoundScheduler {
     state: Mutex<State>,
-    /// Wakes the engine thread (staging filled, or shutdown requested).
+    /// Wakes the idle engine thread (a round opened, or shutdown requested).
     engine_wake: Condvar,
     /// Wakes writers (a round committed) — and, on engine exit, any
     /// stragglers.
     commit_wake: Condvar,
-    config: RoundConfig,
+}
+
+impl Default for RoundScheduler {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl RoundScheduler {
-    /// A scheduler with the given flush policy, starting at round 1.
-    pub fn new(config: RoundConfig) -> Self {
-        Self::with_base_round(config, 0)
+    /// A scheduler starting at round 1.
+    pub fn new() -> Self {
+        Self::with_base_round(0)
     }
 
     /// A scheduler whose first committed round will be `base_round + 1` —
@@ -174,8 +163,7 @@ impl RoundScheduler {
     /// off instead of restarting at 1 (round ids are durable identifiers
     /// once a WAL exists: subscribers, checkpoints, and log records all key
     /// on them).
-    pub fn with_base_round(config: RoundConfig, base_round: u64) -> Self {
-        assert!(config.max_batch_updates >= 1, "rounds must hold an update");
+    pub fn with_base_round(base_round: u64) -> Self {
         Self {
             state: Mutex::new(State {
                 insertions: Vec::new(),
@@ -190,13 +178,7 @@ impl RoundScheduler {
             }),
             engine_wake: Condvar::new(),
             commit_wake: Condvar::new(),
-            config,
         }
-    }
-
-    /// The flush policy.
-    pub fn config(&self) -> RoundConfig {
-        self.config
     }
 
     /// Highest committed round id.
@@ -226,9 +208,12 @@ impl RoundScheduler {
         s.insertions.extend(insertions);
         s.deletions.extend(deletions);
         s.staged += count;
-        let first_of_round = s.opened_at.is_none();
-        if first_of_round {
+        if s.opened_at.is_none() {
             s.opened_at = Some(Instant::now());
+            // Only a round's first update can find the engine thread asleep
+            // on an empty buffer; it rechecks `staged` before every sleep,
+            // so a busy engine picks the round up on its way back.
+            self.engine_wake.notify_one();
         }
         let ticket = s.staging_round;
         s.slots
@@ -238,12 +223,6 @@ impl RoundScheduler {
                 waiters: 0,
             })
             .waiters += 1;
-        // Wake the engine thread when the round fills, and on the round's
-        // first update so its delay clock is armed against a live engine
-        // wait rather than an unbounded sleep.
-        if first_of_round || s.staged >= self.config.max_batch_updates {
-            self.engine_wake.notify_one();
-        }
         loop {
             if let Some(slot) = s.slots.get_mut(&ticket) {
                 if let Some(delta) = slot.result.clone() {
@@ -280,10 +259,11 @@ impl RoundScheduler {
         lock_unpoisoned(&self.state).shutdown
     }
 
-    /// The engine thread's body: waits for rounds to fill (or time out, or
-    /// shutdown), applies each as one batch, logs it to the WAL (when
-    /// configured) *before* any publication, publishes the round into every
-    /// sink, and wakes the round's writers. Returns the engine once shutdown
+    /// The engine thread's body: sleeps while nothing is staged, drains
+    /// everything staged as one round the moment it is free, applies it as
+    /// one batch, logs it to the WAL (when configured) *before* any
+    /// publication, publishes the round into every sink, and wakes the
+    /// round's writers. Returns the engine once shutdown
     /// has drained the staging buffer (writing a final checkpoint when a WAL
     /// is attached), so the caller can inspect final state.
     ///
@@ -307,23 +287,8 @@ impl RoundScheduler {
         loop {
             let (insertions, deletions, round, opened_at) = {
                 let mut s = lock_unpoisoned(&self.state);
-                loop {
-                    if s.staged >= self.config.max_batch_updates {
-                        break;
-                    }
-                    if s.staged > 0 {
-                        let deadline =
-                            s.opened_at.expect("open round has a start") + self.config.max_delay;
-                        let now = Instant::now();
-                        if s.shutdown || now >= deadline {
-                            break;
-                        }
-                        let (guard, _) = self
-                            .engine_wake
-                            .wait_timeout(s, deadline - now)
-                            .unwrap_or_else(|poisoned| poisoned.into_inner());
-                        s = guard;
-                    } else if s.shutdown {
+                while s.staged == 0 {
+                    if s.shutdown {
                         // Nothing staged and shutdown requested: done (the
                         // exit guard wakes any straggler). The final
                         // checkpoint happens outside the staging lock.
@@ -335,12 +300,11 @@ impl RoundScheduler {
                             }
                         }
                         return engine;
-                    } else {
-                        s = self
-                            .engine_wake
-                            .wait(s)
-                            .unwrap_or_else(|poisoned| poisoned.into_inner());
                     }
+                    s = self
+                        .engine_wake
+                        .wait(s)
+                        .unwrap_or_else(|poisoned| poisoned.into_inner());
                 }
                 let insertions = mem::take(&mut s.insertions);
                 let deletions = mem::take(&mut s.deletions);
@@ -513,6 +477,7 @@ mod tests {
     use greedy_engine::prelude::Engine;
     use std::sync::Arc;
     use std::thread;
+    use std::time::Duration;
 
     fn edges(pairs: &[(u32, u32)]) -> Vec<Edge> {
         pairs.iter().map(|&(u, v)| Edge::new(u, v)).collect()
@@ -553,10 +518,7 @@ mod tests {
 
     #[test]
     fn single_writer_commits_and_reads_back() {
-        let scheduler = Arc::new(RoundScheduler::new(RoundConfig {
-            max_batch_updates: 100,
-            max_delay: Duration::from_millis(1),
-        }));
+        let scheduler = Arc::new(RoundScheduler::new());
         let cell = fresh_cell(10, 3);
         let engine = spawn_engine(&scheduler, &cell, 10, 3);
 
@@ -573,25 +535,54 @@ mod tests {
     }
 
     #[test]
-    fn full_round_flushes_without_waiting_for_delay() {
-        let scheduler = Arc::new(RoundScheduler::new(RoundConfig {
-            max_batch_updates: 2,
-            max_delay: Duration::from_secs(3600), // delay flush effectively off
-        }));
-        let cell = fresh_cell(10, 1);
-        let engine = spawn_engine(&scheduler, &cell, 10, 1);
-        let delta = scheduler.submit(edges(&[(0, 1), (1, 2)]), vec![]).unwrap();
-        assert_eq!(delta.round, 1);
+    fn lone_writes_commit_without_waiting_on_a_timer() {
+        // An idle engine commits a lone write at once. A scheduler that held
+        // each round open for even 2 ms would need >= 400 ms here.
+        let scheduler = Arc::new(RoundScheduler::new());
+        let cell = fresh_cell(1_000, 1);
+        let engine = spawn_engine(&scheduler, &cell, 1_000, 1);
+        let start = Instant::now();
+        for i in 0..200u32 {
+            let delta = scheduler.submit(edges(&[(i, i + 500)]), vec![]).unwrap();
+            assert_eq!(delta.round, u64::from(i) + 1);
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(400),
+            "200 sequential single-edge commits took {elapsed:?}"
+        );
         scheduler.shutdown();
-        engine.join().unwrap();
+        assert_eq!(engine.join().unwrap().num_edges(), 200);
+    }
+
+    #[test]
+    fn writers_staged_before_the_engine_wakes_share_one_round() {
+        let scheduler = Arc::new(RoundScheduler::new());
+        let cell = fresh_cell(100, 4);
+        let k = 6u32;
+        let writers: Vec<_> = (0..k)
+            .map(|w| {
+                let scheduler = scheduler.clone();
+                thread::spawn(move || scheduler.submit(edges(&[(w, w + 50)]), vec![]))
+            })
+            .collect();
+        // Every writer is staged and blocked before the engine thread runs.
+        while scheduler.state.lock().unwrap().staged < k as usize {
+            thread::yield_now();
+        }
+        let engine = spawn_engine(&scheduler, &cell, 100, 4);
+        for w in writers {
+            let delta = w.join().unwrap().unwrap();
+            assert_eq!((delta.round, delta.inserted), (1, u64::from(k)));
+        }
+        assert_eq!(scheduler.committed_round(), 1);
+        scheduler.shutdown();
+        assert_eq!(engine.join().unwrap().num_edges(), k as usize);
     }
 
     #[test]
     fn concurrent_writers_share_rounds_and_all_get_answers() {
-        let scheduler = Arc::new(RoundScheduler::new(RoundConfig {
-            max_batch_updates: 64,
-            max_delay: Duration::from_millis(1),
-        }));
+        let scheduler = Arc::new(RoundScheduler::new());
         let cell = fresh_cell(1_000, 7);
         let engine = spawn_engine(&scheduler, &cell, 1_000, 7);
         let writers: Vec<_> = (0..8u32)
@@ -631,7 +622,7 @@ mod tests {
 
     #[test]
     fn empty_submission_answers_immediately() {
-        let scheduler = RoundScheduler::new(RoundConfig::default());
+        let scheduler = RoundScheduler::new();
         let delta = scheduler.submit(vec![], vec![]).unwrap();
         assert_eq!(delta.round, 0);
         assert_eq!(delta.inserted, 0);
@@ -639,12 +630,10 @@ mod tests {
 
     #[test]
     fn shutdown_refuses_new_writers_but_drains_staged() {
-        let scheduler = Arc::new(RoundScheduler::new(RoundConfig {
-            max_batch_updates: 1_000_000,
-            max_delay: Duration::from_secs(3600),
-        }));
+        let scheduler = Arc::new(RoundScheduler::new());
         let cell = fresh_cell(10, 2);
-        // Stage an update that can only commit via the shutdown drain.
+        // Stage an update that can only commit via the shutdown drain: the
+        // engine thread starts only after shutdown was requested.
         let staged = {
             let scheduler = scheduler.clone();
             thread::spawn(move || scheduler.submit(edges(&[(4, 5)]), vec![]))
@@ -653,8 +642,8 @@ mod tests {
         while scheduler.state.lock().unwrap().staged == 0 {
             thread::yield_now();
         }
-        let engine = spawn_engine(&scheduler, &cell, 10, 2);
         scheduler.shutdown();
+        let engine = spawn_engine(&scheduler, &cell, 10, 2);
         let delta = staged.join().unwrap().expect("staged update must commit");
         assert_eq!((delta.round, delta.inserted), (1, 1));
         let engine = engine.join().unwrap();
@@ -667,10 +656,7 @@ mod tests {
 
     #[test]
     fn engine_panic_wakes_blocked_writers_with_shutting_down() {
-        let scheduler = Arc::new(RoundScheduler::new(RoundConfig {
-            max_batch_updates: 100,
-            max_delay: Duration::from_millis(1),
-        }));
+        let scheduler = Arc::new(RoundScheduler::new());
         let cell = fresh_cell(10, 5);
         let engine = spawn_engine(&scheduler, &cell, 10, 5);
         // An out-of-range edge: `serve.rs` validates vertex ids at the
@@ -689,13 +675,7 @@ mod tests {
 
     #[test]
     fn base_round_constructor_resumes_numbering() {
-        let scheduler = Arc::new(RoundScheduler::with_base_round(
-            RoundConfig {
-                max_batch_updates: 100,
-                max_delay: Duration::from_millis(1),
-            },
-            41,
-        ));
+        let scheduler = Arc::new(RoundScheduler::with_base_round(41));
         assert_eq!(scheduler.committed_round(), 41);
         let cell = fresh_cell(10, 3);
         let engine = spawn_engine(&scheduler, &cell, 10, 3);

@@ -30,15 +30,13 @@ use crate::feed::{DeltaFeed, FullDelta};
 use crate::metrics::{RoundTrace, ServerMetrics};
 use crate::protocol::{read_frame, write_frame, Request, Response, StatsReply};
 use crate::replica::{snapshot_chunks, ReplicaState, SnapshotAssembler};
-use crate::rounds::{lock_unpoisoned, CommitSinks, CommittedRound, RoundConfig, RoundScheduler};
+use crate::rounds::{lock_unpoisoned, CommitSinks, CommittedRound, RoundScheduler};
 use crate::snapshot::{PublishedSnapshot, SnapshotCell};
 use crate::wal::{self, Wal, WalConfig};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Round flush policy (see [`RoundConfig`]).
-    pub rounds: RoundConfig,
     /// Record every committed round (exact batch + published snapshot +
     /// exact delta) for post-hoc coherence audits. Costs one batch clone per
     /// round — meant for tests and verification runs, not production
@@ -68,7 +66,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            rounds: RoundConfig::default(),
             record_rounds: false,
             delta_ring: 64,
             wal: None,
@@ -332,7 +329,7 @@ pub fn serve_on<E: CommitEngine, A: ToSocketAddrs>(
         feed.attach_journal(m.journal().clone());
     }
     let shared = Arc::new(Shared {
-        scheduler: RoundScheduler::with_base_round(config.rounds, base_round),
+        scheduler: RoundScheduler::with_base_round(base_round),
         cell: SnapshotCell::new(PublishedSnapshot {
             round: base_round,
             state: engine.server_snapshot(),

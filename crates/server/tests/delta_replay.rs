@@ -4,7 +4,6 @@
 //! real socket.
 
 use std::thread;
-use std::time::Duration;
 
 use greedy_engine::prelude::{EdgeBatch, Engine};
 use greedy_graph::gen::random::random_graph;
@@ -110,10 +109,6 @@ fn recorded_delta_stream_refolds_every_published_snapshot() {
     let handle = serve(
         Engine::from_graph(&base, 29),
         ServerConfig {
-            rounds: RoundConfig {
-                max_batch_updates: 64,
-                max_delay: Duration::from_millis(1),
-            },
             record_rounds: true,
             ..ServerConfig::default()
         },
@@ -186,10 +181,6 @@ fn sharded_server_rounds_match_single_engine_byte_for_byte() {
 
     let base = random_graph(1_200, 3_500, 53);
     let config = |dir: std::path::PathBuf| ServerConfig {
-        rounds: RoundConfig {
-            max_batch_updates: 4096,
-            max_delay: Duration::from_millis(1),
-        },
         record_rounds: true,
         wal: Some(WalConfig {
             dir,
@@ -331,10 +322,6 @@ fn tcp_subscriber_reconstruction_is_byte_identical() {
     let handle = serve(
         Engine::from_graph(&random_graph(1_000, 3_000, 7), 19),
         ServerConfig {
-            rounds: RoundConfig {
-                max_batch_updates: 32,
-                max_delay: Duration::from_millis(1),
-            },
             record_rounds: true,
             ..ServerConfig::default()
         },

@@ -16,20 +16,12 @@ use greedy_graph::csr::Graph;
 use greedy_graph::gen::random::random_graph;
 use greedy_server::prelude::*;
 
-fn quick_rounds() -> RoundConfig {
-    RoundConfig {
-        max_batch_updates: 256,
-        max_delay: Duration::from_millis(1),
-    }
-}
-
 #[test]
 fn client_round_trips_against_direct_engine() {
     let base = random_graph(500, 1_500, 11);
     let handle = serve(
         Engine::from_graph(&base, 23),
         ServerConfig {
-            rounds: quick_rounds(),
             record_rounds: false,
             ..ServerConfig::default()
         },
@@ -98,10 +90,6 @@ fn concurrent_writers_produce_coherent_recorded_rounds() {
     let handle = serve(
         Engine::new(n as usize, seed),
         ServerConfig {
-            rounds: RoundConfig {
-                max_batch_updates: 64,
-                max_delay: Duration::from_millis(1),
-            },
             record_rounds: true,
             ..ServerConfig::default()
         },
@@ -242,16 +230,10 @@ fn out_of_range_ids_are_domain_errors_and_keep_the_connection() {
 }
 
 #[test]
-fn clean_shutdown_joins_all_threads_and_drains_staged_updates() {
+fn clean_shutdown_joins_all_threads_and_closes_the_listener() {
     let handle = serve(
         Engine::new(100, 9),
         ServerConfig {
-            rounds: RoundConfig {
-                // Neither flush bound can fire on its own: only the shutdown
-                // drain can commit what we stage.
-                max_batch_updates: 1_000_000,
-                max_delay: Duration::from_secs(3600),
-            },
             record_rounds: true,
             ..ServerConfig::default()
         },
@@ -259,30 +241,20 @@ fn clean_shutdown_joins_all_threads_and_drains_staged_updates() {
     .unwrap();
     let addr = handle.addr();
 
-    // A writer whose round can only commit through the shutdown drain.
-    let writer = thread::spawn(move || {
-        let mut client = Client::connect(addr).unwrap();
-        client.insert_edges(&[(0, 1), (2, 3)]).unwrap()
-    });
+    // A writer whose connection stays open across shutdown after its commit.
+    let mut writer = Client::connect(addr).unwrap();
+    let delta = writer.insert_edges(&[(0, 1), (2, 3)]).unwrap();
+    assert_eq!((delta.round, delta.inserted), (1, 2));
     // Idle connections must not keep the server alive either.
     let idle = Client::connect(addr).unwrap();
-    // Give the writer a moment to actually stage its updates (its submission
-    // blocks until the shutdown drain, so there is no commit to wait on).
-    thread::sleep(Duration::from_millis(50));
-    assert_eq!(
-        handle.committed_round(),
-        0,
-        "nothing can commit before drain"
-    );
 
     // shutdown() returns only once every thread is joined — if a connection
     // or engine thread leaked, this would hang the test instead of passing.
     let report = handle.shutdown();
-    let delta = writer.join().unwrap();
-    assert_eq!(delta.inserted, 2, "staged updates commit during shutdown");
     assert_eq!(report.engine.num_edges(), 2);
     assert_eq!(report.rounds.len(), 1);
     drop(idle);
+    drop(writer);
 
     // The listener is gone: nothing accepts on that port any more. (A
     // connect could only succeed if another process grabbed the ephemeral
@@ -318,7 +290,6 @@ fn queries_observe_monotone_rounds_while_writers_stream() {
     let handle = serve(
         Engine::from_graph(&random_graph(1_000, 3_000, 4), 31),
         ServerConfig {
-            rounds: quick_rounds(),
             record_rounds: false,
             ..ServerConfig::default()
         },

@@ -8,21 +8,11 @@ use std::time::{Duration, Instant};
 use greedy_engine::prelude::Engine;
 use greedy_server::prelude::*;
 
-fn quick() -> ServerConfig {
-    ServerConfig {
-        rounds: RoundConfig {
-            max_batch_updates: 4,
-            max_delay: Duration::from_millis(1),
-        },
-        ..ServerConfig::default()
-    }
-}
-
 /// A subscriber whose base round is still inside the delta ring is caught
 /// up by replay — zero resyncs — and then rides the live feed.
 #[test]
 fn recent_base_is_caught_up_from_the_ring() {
-    let handle = serve(Engine::new(200, 5), quick()).unwrap();
+    let handle = serve(Engine::new(200, 5), ServerConfig::default()).unwrap();
     let addr = handle.addr();
     let mut client = Client::connect(addr).unwrap();
 
@@ -63,7 +53,7 @@ fn base_past_the_ring_falls_back_to_a_snapshot_and_converges() {
         Engine::new(200, 6),
         ServerConfig {
             delta_ring: 2, // tiny ring: three rounds behind is already too far
-            ..quick()
+            ..ServerConfig::default()
         },
     )
     .unwrap();
@@ -110,7 +100,7 @@ fn base_past_the_ring_falls_back_to_a_snapshot_and_converges() {
 /// or never draining.
 #[test]
 fn dead_or_stalled_subscribers_never_block_commits() {
-    let handle = serve(Engine::new(2_000, 7), quick()).unwrap();
+    let handle = serve(Engine::new(2_000, 7), ServerConfig::default()).unwrap();
     let addr = handle.addr();
 
     // One subscriber that disconnects immediately, one that never reads.
@@ -158,7 +148,7 @@ fn dead_or_stalled_subscribers_never_block_commits() {
 /// round (including the final one) before the stream ends cleanly.
 #[test]
 fn shutdown_delivers_the_final_round_then_closes_the_feed() {
-    let handle = serve(Engine::new(100, 8), quick()).unwrap();
+    let handle = serve(Engine::new(100, 8), ServerConfig::default()).unwrap();
     let addr = handle.addr();
 
     let mut sub = Client::connect(addr).unwrap().subscribe_fresh().unwrap();
