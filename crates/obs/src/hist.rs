@@ -95,8 +95,9 @@ impl Histogram {
     /// every bucket count is added, `count`/`sum` are added, and `max`/`min`
     /// are widened. Because every [`Histogram`] shares the same fixed bucket
     /// layout, the merged histogram is exactly what recording both sample
-    /// streams into one instrument would have produced — the primitive
-    /// per-shard registries need ([`crate::Registry::merge`]).
+    /// streams into one instrument would have produced — what
+    /// [`crate::Registry::merge`] relies on when it folds two registries'
+    /// histograms of the same name into one.
     ///
     /// Reads `other` with relaxed loads: exact once its recording threads are
     /// quiesced, may miss a few in-flight samples otherwise (never corrupts).

@@ -3,8 +3,9 @@
 //! Dependency-free observability primitives for the serving stack: atomic
 //! [`Counter`]s and [`Gauge`]s, a lock-free log-bucketed [`Histogram`] with
 //! p50/p90/p99/max snapshots, a [`Registry`] with deterministic
-//! Prometheus-style text exposition (mergeable across shards via
-//! [`Registry::merge`]), a [`FlightRecorder`] ring that keeps the last K
+//! Prometheus-style text exposition (one registry folds into another via
+//! [`Registry::merge`], which is how the server renders its own and the
+//! engine's instruments as one listing), a [`FlightRecorder`] ring that keeps the last K
 //! structured records (the server stores one per-round commit timeline in
 //! it), and an [`EventJournal`] ring of typed, timestamped
 //! rare-but-diagnostic events (arena rebuilds, WAL checkpoints, fsync

@@ -240,13 +240,6 @@ pub struct StatsReply {
     /// 0 when serving memory-only or under the per-round fsync policy;
     /// bounded by the group size under group fsync.
     pub durable_lag: u64,
-    /// Vertex-partition shards the engine runs (1 for the single-arena
-    /// engine).
-    pub shards: u64,
-    /// High-water mark of updates staged for a single shard in one round
-    /// (0 unsharded): a skew gauge — `shards` × this ≫ `updates` means the
-    /// partition is unbalanced for the workload.
-    pub max_shard_staged: u64,
 }
 
 /// Wire version of the [`StatsReply`] body: a tagged field block (version
@@ -259,8 +252,11 @@ pub struct StatsReply {
 pub const STATS_VERSION: u8 = 2;
 
 /// Field ids of the [`StatsReply`] wire block, in `(id, value)` order. Ids
-/// are append-only: never reuse or renumber one.
-const STATS_FIELDS: usize = 16;
+/// are append-only: never reuse or renumber one. Ids 15 and 16 are retired
+/// (they carried the removed partitioned engine's shard count and per-shard
+/// staging high-water mark); decoders skip them, and they must never be
+/// reused.
+const STATS_FIELDS: usize = 14;
 
 impl StatsReply {
     /// Field block `(id, value)` pairs in encode order.
@@ -280,8 +276,6 @@ impl StatsReply {
             (12, self.commit_p50_us),
             (13, self.commit_p99_us),
             (14, self.durable_lag),
-            (15, self.shards),
-            (16, self.max_shard_staged),
         ]
     }
 
@@ -311,10 +305,9 @@ impl StatsReply {
             12 => self.commit_p50_us = value,
             13 => self.commit_p99_us = value,
             14 => self.durable_lag = value,
-            15 => self.shards = value,
-            16 => self.max_shard_staged = value,
-            // Unknown id: a field from a newer server. Skipped, not fatal —
-            // that is the point of the versioned block.
+            // Unknown id: a field from a newer server, or a retired one
+            // (15, 16) from an older one. Skipped, not fatal — that is the
+            // point of the versioned block.
             _ => {}
         }
     }
@@ -391,11 +384,11 @@ pub enum Response {
 /// Version byte of the [`Response::Trace`] body. Bump only on an
 /// incompatible re-layout; appending fields bumps [`TRACE_FIELDS`] instead
 /// (decoders skip fields they do not know, like the stats block's ids).
-pub const TRACE_VERSION: u8 = 1;
+pub const TRACE_VERSION: u8 = 2;
 
 /// `u64` fields per trace record, in [`RoundTrace`] declaration order.
 /// Append-only: new fields go at the end so old decoders can skip them.
-pub const TRACE_FIELDS: u8 = 16;
+pub const TRACE_FIELDS: u8 = 15;
 
 /// One record's fields in wire order ([`RoundTrace`] declaration order).
 fn trace_fields(t: &RoundTrace) -> [u64; TRACE_FIELDS as usize] {
@@ -415,7 +408,6 @@ fn trace_fields(t: &RoundTrace) -> [u64; TRACE_FIELDS as usize] {
         t.decided,
         t.flips,
         t.pages,
-        t.cross_shard_rounds,
     ]
 }
 
@@ -480,7 +472,6 @@ pub(crate) fn read_trace_body(c: &mut Cursor<'_>) -> io::Result<Vec<RoundTrace>>
             decided: vals[12],
             flips: vals[13],
             pages: vals[14],
-            cross_shard_rounds: vals[15],
         });
     }
     Ok(out)
@@ -1024,8 +1015,6 @@ mod tests {
             commit_p50_us: 340,
             commit_p99_us: 1200,
             durable_lag: 1,
-            shards: 4,
-            max_shard_staged: 9,
         }));
         roundtrip_response(Response::Stats(StatsReply::default()));
         roundtrip_response(Response::ShuttingDown);
@@ -1104,20 +1093,23 @@ mod tests {
             "legacy fixed-layout stats body must still decode"
         );
 
-        // Future frame: the current field block plus an unknown id 200.
+        // Future frame: the current field block plus an unknown id 200, and
+        // the retired ids 15 and 16 an older server still sends.
         let mut body = Vec::new();
         expected.encode_body(&mut body);
-        // Patch the count up by one and append the unknown field.
+        // Patch the count up and append the unknown fields.
         let count = u32::from_le_bytes(body[1..5].try_into().unwrap());
-        body[1..5].copy_from_slice(&(count + 1).to_le_bytes());
-        body.push(200);
-        body.extend_from_slice(&77u64.to_le_bytes());
+        body[1..5].copy_from_slice(&(count + 3).to_le_bytes());
+        for (id, value) in [(15u8, 4u64), (16, 9), (200, 77)] {
+            body.push(id);
+            body.extend_from_slice(&value.to_le_bytes());
+        }
         let mut buf = vec![10u8];
         buf.extend_from_slice(&body);
         assert_eq!(
             Response::decode(&buf).unwrap(),
             Response::Stats(expected),
-            "unknown field ids must be skipped, not fatal"
+            "unknown and retired field ids must be skipped, not fatal"
         );
 
         // A truncated field block is still malformed.
@@ -1198,7 +1190,6 @@ mod tests {
             decided: 8,
             flips: 2,
             pages: 3,
-            cross_shard_rounds: round % 3,
         };
         roundtrip_response(Response::Trace(vec![]));
         roundtrip_response(Response::Trace(vec![trace(1), trace(2), trace(3)]));
@@ -1233,6 +1224,9 @@ mod tests {
         // A stale version or a narrower record layout is malformed...
         let mut buf = Response::Trace(vec![]).encode();
         buf[1] = 0;
+        assert!(Response::decode(&buf).is_err());
+        let mut buf = Response::Trace(vec![]).encode();
+        buf[1] = TRACE_VERSION - 1;
         assert!(Response::decode(&buf).is_err());
         let mut buf = Response::Trace(vec![]).encode();
         buf[2] = TRACE_FIELDS - 1;

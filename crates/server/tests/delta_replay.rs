@@ -167,75 +167,39 @@ fn recorded_delta_stream_refolds_every_published_snapshot() {
     );
 }
 
-/// The sharded tentpole's serving-layer acceptance sweep: a server driven by
-/// the vertex-partitioned engine at S ∈ {1, 2, 3, 7} publishes byte-identical
-/// snapshots, emits a byte-identical recorded delta stream, and writes
-/// byte-identical WAL files (round records *and* checkpoints) compared to the
-/// single-arena engine over the same committed rounds. One sequential writer
-/// pins the round boundaries: each submit blocks until its round commits, so
-/// round k holds exactly call k's updates in every run.
+/// The serving layer's byte-identity check: a server's published
+/// snapshots, recorded wire delta stream and WAL directory bytes (round
+/// records *and* checkpoints) equal an in-process replay of the same
+/// committed batches through a fresh engine and WAL writer, at every rayon
+/// pool size. The replay calls the WAL in the order
+/// [`RoundScheduler::drive`] does: `append_round`, then `maybe_checkpoint`,
+/// per round; a final `checkpoint` and `close` at shutdown. One sequential
+/// writer pins the round boundaries: each submit blocks until its round
+/// commits, so round k holds exactly call k's updates.
 #[test]
-fn sharded_server_rounds_match_single_engine_byte_for_byte() {
-    use greedy_engine::prelude::{ServerSnapshot, ShardedEngine};
+fn served_rounds_replay_byte_for_byte_at_every_thread_count() {
+    use greedy_engine::prelude::ServerSnapshot;
     use greedy_server::wal::{FsyncPolicy, WalConfig};
 
     let base = random_graph(1_200, 3_500, 53);
-    let config = |dir: std::path::PathBuf| ServerConfig {
-        record_rounds: true,
-        wal: Some(WalConfig {
-            dir,
-            fsync: FsyncPolicy::Off,
-            segment_rounds: 3,
-            checkpoint_every: 4,
-            retain_all: false,
-        }),
-        ..ServerConfig::default()
+    let wal_config = |dir: std::path::PathBuf| WalConfig {
+        dir,
+        fsync: FsyncPolicy::Off,
+        segment_rounds: 3,
+        checkpoint_every: 4,
+        retain_all: false,
     };
-    let scratch = |shards: usize| {
-        let dir = std::env::temp_dir().join(format!(
-            "greedy_shard_sweep_s{}_{}",
-            shards,
-            std::process::id()
-        ));
+    let scratch = |tag: &str| {
+        let dir =
+            std::env::temp_dir().join(format!("greedy_replay_sweep_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     };
-    // Drives one server through 10 deterministic single-writer rounds and
-    // returns (per-round published snapshots, wire delta stream, final
-    // stats reply, WAL directory bytes keyed by file name).
+    // The WAL directory's bytes keyed by file name, then the directory is
+    // removed.
     type WalFiles = Vec<(String, Vec<u8>)>;
-    let run = |handle: ServerHandle<ShardedEngine>,
-               dir: std::path::PathBuf|
-     -> (Vec<ServerSnapshot>, Vec<DeltaFrame>, StatsReply, WalFiles) {
-        let mut client = Client::connect(handle.addr()).unwrap();
-        for round in 1..=10u64 {
-            let mut inserts = Vec::new();
-            let mut deletes = Vec::new();
-            for i in 0..40 {
-                inserts.push((
-                    (hash64(501, round * 1_000 + 2 * i) % 1_200) as u32,
-                    (hash64(501, round * 1_000 + 2 * i + 1) % 1_200) as u32,
-                ));
-            }
-            for i in 0..15 {
-                deletes.push((
-                    (hash64(502, round * 1_000 + 2 * i) % 1_200) as u32,
-                    (hash64(502, round * 1_000 + 2 * i + 1) % 1_200) as u32,
-                ));
-            }
-            client.insert_edges(&inserts).unwrap();
-            client.delete_edges(&deletes).unwrap();
-        }
-        let stats = client.stats().unwrap();
-        drop(client);
-        let report = handle.shutdown();
-        let snapshots: Vec<ServerSnapshot> = report
-            .rounds
-            .iter()
-            .map(|c| c.snapshot.state.clone())
-            .collect();
-        let deltas: Vec<DeltaFrame> = report.rounds.iter().map(|c| c.delta.to_wire()).collect();
-        let mut files: WalFiles = std::fs::read_dir(&dir)
+    let take_files = |dir: &std::path::Path| -> WalFiles {
+        let mut files: WalFiles = std::fs::read_dir(dir)
             .unwrap()
             .map(|e| {
                 let e = e.unwrap();
@@ -246,70 +210,97 @@ fn sharded_server_rounds_match_single_engine_byte_for_byte() {
             })
             .collect();
         files.sort();
-        let _ = std::fs::remove_dir_all(&dir);
-        (snapshots, deltas, stats, files)
+        let _ = std::fs::remove_dir_all(dir);
+        files
     };
 
-    let ref_dir = scratch(1);
+    // The served run: 20 deterministic single-writer rounds.
+    let served_dir = scratch("served");
     let handle = serve(
-        ShardedEngine::from_graph(&base, 31, 1),
-        config(ref_dir.clone()),
+        Engine::from_graph(&base, 31),
+        ServerConfig {
+            record_rounds: true,
+            wal: Some(wal_config(served_dir.clone())),
+            ..ServerConfig::default()
+        },
     )
     .unwrap();
-    let (ref_snapshots, ref_deltas, ref_stats, ref_files) = run(handle, ref_dir);
-    assert_eq!(ref_snapshots.len(), 20, "one round per client call");
-    assert_eq!(ref_stats.shards, 1);
-    // One shard owns every update, so the high-water mark is the largest
-    // sub-batch a round ever staged — the 40-insert calls.
-    assert_eq!(ref_stats.max_shard_staged, 40);
+    let mut client = Client::connect(handle.addr()).unwrap();
+    for round in 1..=10u64 {
+        let mut inserts = Vec::new();
+        let mut deletes = Vec::new();
+        for i in 0..40 {
+            inserts.push((
+                (hash64(501, round * 1_000 + 2 * i) % 1_200) as u32,
+                (hash64(501, round * 1_000 + 2 * i + 1) % 1_200) as u32,
+            ));
+        }
+        for i in 0..15 {
+            deletes.push((
+                (hash64(502, round * 1_000 + 2 * i) % 1_200) as u32,
+                (hash64(502, round * 1_000 + 2 * i + 1) % 1_200) as u32,
+            ));
+        }
+        client.insert_edges(&inserts).unwrap();
+        client.delete_edges(&deletes).unwrap();
+    }
+    drop(client);
+    let report = handle.shutdown();
+    let served_snapshots: Vec<ServerSnapshot> = report
+        .rounds
+        .iter()
+        .map(|c| c.snapshot.state.clone())
+        .collect();
+    let served_deltas: Vec<DeltaFrame> = report.rounds.iter().map(|c| c.delta.to_wire()).collect();
+    let served_files = take_files(&served_dir);
+    assert_eq!(served_snapshots.len(), 20, "one round per client call");
     assert!(
-        ref_files.iter().any(|(n, _)| n.contains("checkpoint")),
+        served_files.iter().any(|(n, _)| n.contains("checkpoint")),
         "the cadence must have written a mid-stream checkpoint"
     );
 
-    for shards in [2usize, 3, 7] {
-        let dir = scratch(shards);
-        let handle = serve(
-            ShardedEngine::from_graph(&base, 31, shards),
-            config(dir.clone()),
-        )
-        .unwrap();
-        let (snapshots, deltas, stats, files) = run(handle, dir);
+    for threads in sweep_threads() {
+        let dir = scratch(&format!("t{threads}"));
+        let (snapshots, deltas) = in_pool(threads, || {
+            let mut engine = Engine::from_graph(&base, 31);
+            let mut wal = Wal::create(wal_config(dir.clone()), &engine, 0).unwrap();
+            let mut snapshots = Vec::new();
+            let mut deltas = Vec::new();
+            for committed in &report.rounds {
+                let batch = EdgeBatch {
+                    insertions: committed.insertions.clone(),
+                    deletions: committed.deletions.clone(),
+                };
+                let applied = engine.apply_batch(&batch);
+                let full = FullDelta::from_report(committed.round, &applied);
+                wal.append_round(committed.round, &batch.insertions, &batch.deletions, &full)
+                    .unwrap();
+                wal.maybe_checkpoint(committed.round, &engine).unwrap();
+                snapshots.push(engine.server_snapshot());
+                deltas.push(full.to_wire());
+            }
+            wal.checkpoint(report.rounds.last().unwrap().round, &engine)
+                .unwrap();
+            wal.close().unwrap();
+            (snapshots, deltas)
+        });
+        let files = take_files(&dir);
         assert_eq!(
-            snapshots, ref_snapshots,
-            "published snapshots changed with {shards} shards"
+            snapshots, served_snapshots,
+            "published snapshots differ from the replay at {threads} threads"
         );
         assert_eq!(
-            deltas, ref_deltas,
-            "recorded delta stream changed with {shards} shards"
+            deltas, served_deltas,
+            "recorded delta stream differs from the replay at {threads} threads"
         );
-        assert_eq!(files, ref_files, "WAL bytes changed with {shards} shards");
-        assert_eq!(stats.shards, shards as u64, "stats must report the layout");
-        assert!(
-            stats.max_shard_staged > 0 && stats.max_shard_staged <= 40,
-            "per-shard staging high-water mark out of range: {}",
-            stats.max_shard_staged
-        );
-        // The snapshot-derived counters ride the same wire block and must be
-        // S-independent.
         assert_eq!(
-            (
-                stats.round,
-                stats.num_edges,
-                stats.mis_size,
-                stats.matching_size,
-                stats.edges_inserted,
-                stats.edges_deleted
-            ),
-            (
-                ref_stats.round,
-                ref_stats.num_edges,
-                ref_stats.mis_size,
-                ref_stats.matching_size,
-                ref_stats.edges_inserted,
-                ref_stats.edges_deleted
-            ),
-            "snapshot counters changed with {shards} shards"
+            files.iter().map(|(n, _)| n).collect::<Vec<_>>(),
+            served_files.iter().map(|(n, _)| n).collect::<Vec<_>>(),
+            "WAL file set differs from the replay at {threads} threads"
+        );
+        assert_eq!(
+            files, served_files,
+            "WAL bytes differ from the replay at {threads} threads"
         );
     }
 }
